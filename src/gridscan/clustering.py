@@ -61,10 +61,13 @@ def centroid_of(points) -> np.ndarray:
 class _WeightedSpace:
     """Dataset scaled by sqrt(weights) so distances reduce to Euclidean.
 
-    ``assign`` uses the norm-expansion identity with a BLAS matmul (fast
-    path for swarm fitness and Lloyd sweeps); ``exact_point_dists``
-    recomputes the assigned distances term by term for threshold checks
-    and reported SMSE values.
+    ``assign`` is the fast path for swarm fitness and Lloyd sweeps: one
+    augmented GEMM ranks the centroids, and the distance is then taken
+    directly at the chosen one.  The space owns the n x k GEMM output
+    buffer and reallocates it only when k changes, so a space must not be
+    shared between threads.  ``exact_point_dists`` recomputes the assigned
+    distances term by term in the unscaled coordinates for threshold
+    checks and reported SMSE values.
     """
 
     def __init__(self, X: np.ndarray, w: np.ndarray):
@@ -72,19 +75,27 @@ class _WeightedSpace:
         self.w = validate_weights(w, self.X.shape[1])
         self.sqrt_w = np.sqrt(self.w)
         self.Xw = self.X * self.sqrt_w
-        self.x_sq = np.einsum("ij,ij->i", self.Xw, self.Xw)
+        self.Xa = np.hstack([self.Xw, np.ones((self.X.shape[0], 1))])
+        self._buf = np.empty((self.X.shape[0], 0))
         self.lo = self.X.min(axis=0)
         self.hi = self.X.max(axis=0)
 
     def assign(self, centroids: np.ndarray):
-        """Nearest-centroid labels (ties to the lowest index) and distances."""
+        """Nearest-centroid labels (ties to the lowest index) and distances.
+
+        ``[Xw, 1] @ [-2 Cw, |Cw|^2].T`` is the squared distance less the
+        row constant ``|Xw|^2``, so its row argmin is the nearest centroid.
+        The returned distance is ``|Xw - Cw[label]|``, free of the
+        cancellation the norm expansion suffers near a centroid.
+        """
         Cw = centroids * self.sqrt_w
-        d2 = self.x_sq[:, None] - 2.0 * (self.Xw @ Cw.T)
-        d2 += np.einsum("ij,ij->i", Cw, Cw)[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        labels = d2.argmin(axis=1)
-        dists = np.sqrt(d2[np.arange(len(labels)), labels])
-        return labels, dists
+        Ca = np.hstack([-2.0 * Cw, np.einsum("ij,ij->i", Cw, Cw)[:, None]])
+        if self._buf.shape[1] != Ca.shape[0]:
+            self._buf = np.empty((self.Xa.shape[0], Ca.shape[0]))
+        np.matmul(self.Xa, Ca.T, out=self._buf)
+        labels = self._buf.argmin(axis=1)
+        diff = self.Xw - Cw[labels]
+        return labels, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def exact_point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
         diff = self.X - centroids[labels]
@@ -175,14 +186,18 @@ def smse(model: ClusterModel, X) -> float:
 
 
 def _cluster_means(X: np.ndarray, labels: np.ndarray, old_centroids: np.ndarray) -> np.ndarray:
-    """Per-cluster means; a cluster with no members keeps its old centroid."""
-    k = old_centroids.shape[0]
+    """Per-cluster means; a cluster with no members keeps its old centroid.
+
+    One flat ``bincount`` over the bins ``label * d + attribute`` adds each
+    bin's values in row order, the same order as one ``bincount`` per
+    attribute, so the sums are the same to the bit.
+    """
+    k, d = old_centroids.shape
     counts = np.bincount(labels, minlength=k)
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=X.ravel(), minlength=k * d).reshape(k, d)
     means = old_centroids.copy()
     occupied = counts > 0
-    sums = np.empty((k, X.shape[1]))
-    for a in range(X.shape[1]):
-        sums[:, a] = np.bincount(labels, weights=X[:, a], minlength=k)
     means[occupied] = sums[occupied] / counts[occupied, None]
     return means
 
@@ -244,21 +259,17 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER) -> ClusterM
 def init_centroids_random(X, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct data points drawn uniformly at random."""
     X = np.asarray(X, dtype=float)
-    distinct = np.unique(X, axis=0)
-    if k > len(distinct):
-        raise ValueError(f"only {len(distinct)} distinct points, cannot seed k={k}")
-    order = rng.permutation(len(X))
     chosen: list[np.ndarray] = []
     seen = set()
-    for idx in order:
+    for idx in rng.permutation(len(X)):
         key = X[idx].tobytes()
         if key in seen:
             continue
         seen.add(key)
         chosen.append(X[idx])
         if len(chosen) == k:
-            break
-    return np.array(chosen)
+            return np.array(chosen)
+    raise ValueError(f"only {len(seen)} distinct points, cannot seed k={k}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from gridscan.clustering import (
     Particle,
     PsoParams,
     Swarm,
+    _cluster_means,
     _WeightedSpace,
     default_k_init,
     inertia_weight,
@@ -242,6 +243,94 @@ def test_kmeans_smse_consistent_with_recomputation(rng):
     model = kmeans(X, init_centroids_random(X, 6, rng), w)
     if not model.empty_clusters:
         assert abs(model.smse - smse(model, X)) < 1e-9
+
+
+# ── assignment, cluster means and random seeding ─────────────────────────
+
+
+def test_assign_matches_brute_force_across_changing_k(rng):
+    # k goes 5 -> 9 -> 5 on one space, so the GEMM buffer is reallocated
+    # and then reused at a size it held before
+    X = rng.uniform(-1, 1, size=(150, 4))
+    w = rng.uniform(0.1, 2.0, size=4)
+    space = _WeightedSpace(X, w)
+    first = None
+    for k in (5, 9, 5):
+        C = rng.uniform(-1, 1, size=(k, 4))
+        labels, dists = space.assign(C)
+        direct = [np.argmin([weighted_distance(x, c, w) for c in C]) for x in X]
+        assert np.array_equal(labels, direct)
+        exact = space.exact_point_dists(C, labels)
+        np.testing.assert_allclose(dists, exact, rtol=1e-12, atol=0)
+        if first is None:
+            first = C, labels, dists
+    C0, labels0, dists0 = first
+    again_labels, again_dists = space.assign(C0)
+    assert np.array_equal(again_labels, labels0)
+    assert again_dists.tobytes() == dists0.tobytes()
+
+
+def test_assign_distance_survives_a_centroid_next_to_a_point(rng):
+    # |x|^2 - 2 x.c + |c|^2 cancels to noise at 1e-7; x*s - c*s does not
+    X = rng.uniform(1, 2, size=(50, 4))
+    w = rng.uniform(0.1, 2.0, size=4)
+    space = _WeightedSpace(X, w)
+    C = np.vstack([X[0] + 1e-7, X[1:3]])
+    labels, dists = space.assign(C)
+    assert labels[0] == 0
+    exact = space.exact_point_dists(C, labels)
+    assert abs(dists[0] - exact[0]) <= 1e-6 * exact[0]
+
+
+def test_assign_exact_tie_goes_to_lowest_index():
+    # both points are exactly equidistant from centroids 1 and 2 in either
+    # order; sqrt(4) = 2 keeps the scaled coordinates exact
+    X = np.array([[0.0, 0.0], [0.0, 0.25]])
+    space = _WeightedSpace(X, np.array([4.0, 1.0]))
+    for C in ([[3.0, 3.0], [0.5, 0.0], [-0.5, 0.0]], [[3.0, 3.0], [-0.5, 0.0], [0.5, 0.0]]):
+        labels, dists = space.assign(np.array(C))
+        assert labels.tolist() == [1, 1]
+        assert dists.tolist() == [1.0, np.sqrt(1.0625)]
+
+
+def _cluster_means_per_attribute(X, labels, old_centroids):
+    """Reference: one bincount per attribute."""
+    k = old_centroids.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    sums = np.empty((k, X.shape[1]))
+    for a in range(X.shape[1]):
+        sums[:, a] = np.bincount(labels, weights=X[:, a], minlength=k)
+    means = old_centroids.copy()
+    occupied = counts > 0
+    means[occupied] = sums[occupied] / counts[occupied, None]
+    return means
+
+
+def test_cluster_means_equal_per_attribute_loop_bitwise(rng):
+    for n, d, k in ((500, 7, 6), (8760, 20, 67), (3, 1, 4)):
+        X = rng.normal(0, 1e3, size=(n, d)) * rng.uniform(1e-6, 1.0, size=d)
+        labels = rng.integers(0, k, size=n)
+        labels[labels == 2] = 0  # cluster 2 is empty
+        old = rng.normal(size=(k, d))
+        means = _cluster_means(X, labels, old)
+        assert means.tobytes() == _cluster_means_per_attribute(X, labels, old).tobytes()
+        assert means[2].tobytes() == old[2].tobytes()
+
+
+def test_init_centroids_random_k_equals_distinct_points():
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    C = init_centroids_random(X, 3, np.random.default_rng(0))
+    assert sorted(map(tuple, C.tolist())) == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+
+
+def test_k_above_distinct_points_is_a_clear_error():
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="only 3 distinct points, cannot seed k=4"):
+        init_centroids_random(X, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="only 3 distinct points, cannot seed k=4"):
+        self_adaptive_pso_kmeans(
+            X, np.ones(2), PsoParams(swarm_size=2, n_iter=1), AdaptiveParams(k_init=4)
+        )
 
 
 # ── PSO ──────────────────────────────────────────────────────────────────
