@@ -63,20 +63,29 @@ class _WeightedSpace:
 
     ``assign`` is the fast path for swarm fitness and Lloyd sweeps: one
     augmented GEMM ranks the centroids, and the distance is then taken
-    directly at the chosen one.  The space owns the n x k GEMM output
-    buffer and reallocates it only when k changes, so a space must not be
-    shared between threads.  ``exact_point_dists`` recomputes the assigned
-    distances term by term in the unscaled coordinates for threshold
-    checks and reported SMSE values.
+    directly at the chosen one.  Both use only the ``active`` columns,
+    those with a positive weight; a zero-weight column adds nothing to a
+    distance, and Relief clamps negative weights to zero, so most weight
+    vectors have some.  The centroid norms in the GEMM are still summed
+    over the full scaled row (exact zeros in the inactive columns),
+    because a sum over the active columns alone rounds differently and
+    could flip a near-tie.  The space owns the n x k GEMM output buffer,
+    reallocated only when k changes, and an n x |active| scratch buffer
+    for the distance, so a space must not be shared between threads.
+    ``lo``/``hi`` and ``exact_point_dists`` stay on all columns; the
+    latter recomputes the assigned distances term by term in the unscaled
+    coordinates for threshold checks and reported SMSE values.
     """
 
     def __init__(self, X: np.ndarray, w: np.ndarray):
         self.X = np.asarray(X, dtype=float)
         self.w = validate_weights(w, self.X.shape[1])
         self.sqrt_w = np.sqrt(self.w)
-        self.Xw = self.X * self.sqrt_w
+        self.active = np.flatnonzero(self.w > 0)
+        self.Xw = self.X[:, self.active] * self.sqrt_w[self.active]
         self.Xa = np.hstack([self.Xw, np.ones((self.X.shape[0], 1))])
         self._buf = np.empty((self.X.shape[0], 0))
+        self._diff = np.empty_like(self.Xw)
         self.lo = self.X.min(axis=0)
         self.hi = self.X.max(axis=0)
 
@@ -86,15 +95,19 @@ class _WeightedSpace:
         ``[Xw, 1] @ [-2 Cw, |Cw|^2].T`` is the squared distance less the
         row constant ``|Xw|^2``, so its row argmin is the nearest centroid.
         The returned distance is ``|Xw - Cw[label]|``, free of the
-        cancellation the norm expansion suffers near a centroid.
+        cancellation the norm expansion suffers near a centroid.  It is a
+        fresh array; the scratch buffer is overwritten by the next call.
         """
         Cw = centroids * self.sqrt_w
-        Ca = np.hstack([-2.0 * Cw, np.einsum("ij,ij->i", Cw, Cw)[:, None]])
+        norms = np.einsum("ij,ij->i", Cw, Cw)
+        Cw = Cw[:, self.active]
+        Ca = np.hstack([-2.0 * Cw, norms[:, None]])
         if self._buf.shape[1] != Ca.shape[0]:
             self._buf = np.empty((self.Xa.shape[0], Ca.shape[0]))
         np.matmul(self.Xa, Ca.T, out=self._buf)
         labels = self._buf.argmin(axis=1)
-        diff = self.Xw - Cw[labels]
+        diff = np.take(Cw, labels, axis=0, out=self._diff)
+        np.subtract(self.Xw, diff, out=diff)
         return labels, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def exact_point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -23,6 +23,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata, spearmanr
 
+from .oracles import evaluate_many
+
 
 class DegeneratePredictionError(ValueError):
     """All sampled stability indices coincide; Relief weights are undefined."""
@@ -294,9 +296,13 @@ def select_features(
     consumed first, the latest report is returned with
     ``converged=False``.
 
-    Points where the oracle raises are skipped and recorded in
-    ``failed_hours``.  ``cache``, when given, is filled with hour -> index
-    for every successful oracle evaluation (callers reuse these instead of
+    Each batch is one :func:`~gridscan.oracles.evaluate_many` sweep, so
+    ``GRIDSCAN_THREADS`` workers serve it like every other oracle sweep.
+    The sweep keeps input order, so the training set and the weights are
+    the same at any thread count.  Points where the oracle raises an
+    ``Exception`` are skipped and recorded in ``failed_hours``, in batch
+    order.  ``cache``, when given, is filled with hour -> index for every
+    successful oracle evaluation (callers reuse these instead of
     re-evaluating).
     """
     X_all = data.values
@@ -320,13 +326,14 @@ def select_features(
     while cursor < n:
         take = pick_order[cursor : cursor + params.batch]
         cursor += len(take)
-        for row in take:
+        values, bad = evaluate_many(oracle, X_all[take], catch_failures=True)
+        bad = set(bad)
+        for pos, row in enumerate(take):
             hour = int(hours[row])
-            try:
-                val = float(oracle(X_all[row]))
-            except Exception:
+            if pos in bad:
                 failed.append(hour)
                 continue
+            val = float(values[pos])
             cache[hour] = val
             train_rows.append(row)
             train_lam.append(val)

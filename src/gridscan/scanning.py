@@ -61,7 +61,9 @@ class ScanReport:
     ``lambda_hat`` is aligned with ``hours``; hours sharing a cluster id
     share the value bitwise.  ``reduction`` is 1 - k_final/|R|.  APE
     statistics exist only after validation; ``lambda_full`` and
-    ``speedup`` only after a comparison run.
+    ``speedup`` only after a comparison run.  ``validation_excluded``
+    counts the hours validation left out because the full-scan trace has
+    no index there (the oracle failed).
     """
 
     hours: np.ndarray
@@ -82,6 +84,7 @@ class ScanReport:
     mape: float | None = None
     max_ape: float | None = None
     histogram: tuple[tuple[float, float, int], ...] = ()
+    validation_excluded: int = 0
     lambda_full: np.ndarray | None = None
     speedup: float | None = None
 
@@ -118,6 +121,8 @@ class ScanReport:
             "histogram": [list(b) for b in self.histogram],
             "feature_report": self.feature_report.to_dict(),
         }
+        if self.validation_excluded:
+            payload["validation_excluded"] = self.validation_excluded
         if self.lambda_full is not None:
             payload["lambda_full"] = [float(v) for v in self.lambda_full]
         if include_timing:
@@ -225,28 +230,37 @@ def validate(report: ScanReport, data, oracle, sample_size: int | None = None,
     indices were seen by the pipeline); they are used, via the cached
     values, only when the requested sample exceeds the unseen hours.  When
     the report carries a full-scan trace, true values come from it and no
-    oracle calls are made.
+    oracle calls are made; hours where that trace is NaN (the oracle
+    failed) are left out of the draw and counted in
+    ``validation_excluded``.  ``sample_size=None`` takes every hour with a
+    known index.
 
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
     to the absolute error and are flagged.  The histogram uses
     1-percentage-point bins.
     """
+    hours = report.hours
+    known = np.ones(len(hours), dtype=bool)
+    if report.lambda_full is not None:
+        known = np.isfinite(report.lambda_full)
+    n_known = int(known.sum())
     if sample_size is None:
-        sample_size = len(report.hours)
+        sample_size = n_known
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    if sample_size > len(report.hours):
-        raise ValueError("sample_size exceeds the number of hours")
+    if sample_size > n_known:
+        raise ValueError(
+            f"sample_size {sample_size} exceeds the {n_known} hours with a known index"
+        )
     rng = np.random.default_rng(seed)
 
-    hours = report.hours
     trained = np.isin(hours, np.fromiter(report.training_lambdas, dtype=int, count=len(report.training_lambdas)))
-    eligible = np.flatnonzero(~trained)
+    eligible = np.flatnonzero(~trained & known)
     if sample_size <= len(eligible):
         picked = rng.choice(eligible, size=sample_size, replace=False)
     else:
         extra = rng.choice(
-            np.flatnonzero(trained), size=sample_size - len(eligible), replace=False
+            np.flatnonzero(trained & known), size=sample_size - len(eligible), replace=False
         )
         picked = np.concatenate([eligible, extra])
     picked.sort()
@@ -283,6 +297,7 @@ def validate(report: ScanReport, data, oracle, sample_size: int | None = None,
         mape=float(apes.mean()),
         max_ape=float(apes.max()),
         histogram=tuple(_percentage_histogram(apes)),
+        validation_excluded=len(hours) - n_known,
     )
 
 
@@ -298,7 +313,11 @@ def _percentage_histogram(apes: np.ndarray) -> list[tuple[float, float, int]]:
 
 @dataclass(frozen=True)
 class WorstCaseReport:
-    """Alignment between the stability-index minimum and the demand peak."""
+    """Alignment between the stability-index minimum and the demand peak.
+
+    ``excluded_hours`` are the hours of a partial trace that no statistic
+    used, because the oracle failed there.
+    """
 
     lambda_argmin_hour: int
     lambda_min: float
@@ -306,9 +325,10 @@ class WorstCaseReport:
     demand_max: float
     pearson_r: float
     shifted: bool
+    excluded_hours: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "lambda_argmin_hour": self.lambda_argmin_hour,
             "lambda_min": self.lambda_min,
             "demand_argmax_hour": self.demand_argmax_hour,
@@ -316,26 +336,39 @@ class WorstCaseReport:
             "pearson_r": self.pearson_r,
             "worst_case_shifted": self.shifted,
         }
+        if self.excluded_hours:
+            payload["excluded_hours"] = list(self.excluded_hours)
+        return payload
 
 
 def worst_case_analysis(trace: StabilityTrace, demand) -> WorstCaseReport:
-    """Check whether the worst stability hour coincides with peak demand."""
+    """Check whether the worst stability hour coincides with peak demand.
+
+    Every statistic, the demand peak included, is taken over the hours
+    with a finite index; the NaN hours of a partial trace are left out
+    and listed in ``excluded_hours``.
+    """
     demand = np.asarray(demand, dtype=float)
     if len(demand) != len(trace.lam):
         raise ValueError("trace and demand must cover the same hours")
-    i_min = int(np.argmin(trace.lam))
+    known = np.isfinite(trace.lam)
+    if not known.any():
+        raise ValueError("trace has no finite stability index")
+    hours, lam, demand = trace.hours[known], trace.lam[known], demand[known]
+    i_min = int(np.argmin(lam))
     i_max = int(np.argmax(demand))
-    if np.std(trace.lam) == 0 or np.std(demand) == 0:
+    if np.std(lam) == 0 or np.std(demand) == 0:
         r = float("nan")
     else:
-        r = float(np.corrcoef(trace.lam, demand)[0, 1])
+        r = float(np.corrcoef(lam, demand)[0, 1])
     return WorstCaseReport(
-        lambda_argmin_hour=int(trace.hours[i_min]),
-        lambda_min=float(trace.lam[i_min]),
-        demand_argmax_hour=int(trace.hours[i_max]),
+        lambda_argmin_hour=int(hours[i_min]),
+        lambda_min=float(lam[i_min]),
+        demand_argmax_hour=int(hours[i_max]),
         demand_max=float(demand[i_max]),
         pearson_r=r,
         shifted=i_min != i_max,
+        excluded_hours=tuple(int(h) for h in trace.hours[~known]),
     )
 
 

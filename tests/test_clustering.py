@@ -270,6 +270,25 @@ def test_assign_matches_brute_force_across_changing_k(rng):
     assert again_dists.tobytes() == dists0.tobytes()
 
 
+def test_assign_skips_zero_weight_columns(rng):
+    X = rng.uniform(-1, 1, size=(150, 6))
+    w = rng.uniform(0.1, 2.0, size=6)
+    w[[1, 4]] = 0.0
+    space = _WeightedSpace(X, w)
+    C = rng.uniform(-1, 1, size=(7, 6))
+    labels, dists = space.assign(C)
+    direct = [np.argmin([weighted_distance(x, c, w) for c in C]) for x in X]
+    assert np.array_equal(labels, direct)
+    np.testing.assert_allclose(dists, space.exact_point_dists(C, labels), rtol=1e-12, atol=0)
+    positive = w > 0
+    reduced = _WeightedSpace(X[:, positive], w[positive])
+    assert np.array_equal(reduced.assign(C[:, positive])[0], labels)
+    # the distances are a fresh array, not the space's scratch buffer
+    kept = dists.copy()
+    space.assign(C[::-1])
+    assert dists.tobytes() == kept.tobytes()
+
+
 def test_assign_distance_survives_a_centroid_next_to_a_point(rng):
     # |x|^2 - 2 x.c + |c|^2 cancels to noise at 1e-7; x*s - c*s does not
     X = rng.uniform(1, 2, size=(50, 4))

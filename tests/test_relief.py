@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -292,6 +293,46 @@ def test_select_skips_failing_hours(year):
     rep = gs.select_features(year, Flaky(), seed=0)
     assert len(rep.failed_hours) > 0
     assert rep.converged
+
+
+def test_select_threaded_matches_sequential(year, monkeypatch):
+    # each batch is one evaluate_many sweep: two workers must give the
+    # sequential run's report and cache, failures included
+    base = gs.DampingSurrogate.from_seed(year.metadata["informative_indices"], seed=101)
+    bad_hours = set(range(0, year.n_points, 13))
+    bad_points = {year.values[i].tobytes() for i in bad_hours}
+
+    class Flaky(gs.StabilityOracle):
+        kind = "flaky"
+
+        def __init__(self):
+            super().__init__()
+            self.threads = set()
+
+        def _evaluate(self, point):
+            self.threads.add(threading.get_ident())
+            if point.tobytes() in bad_points:
+                raise RuntimeError("solver diverged")
+            return base._evaluate(point)
+
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GRIDSCAN_THREADS", threads)
+        oracle, cache = Flaky(), {}
+        rep = gs.select_features(year, oracle, seed=0, cache=cache)
+        assert oracle.eval_count == rep.training_size + len(rep.failed_hours)
+        runs.append((rep, list(cache.items()), oracle.threads))
+    (seq, seq_cache, seq_threads), (par, par_cache, par_threads) = runs
+    main = threading.main_thread().ident
+    assert seq_threads == {main}
+    assert main not in par_threads
+    assert seq.failed_hours and set(seq.failed_hours) <= bad_hours
+    assert par.failed_hours == seq.failed_hours
+    assert par.training_size == seq.training_size
+    assert par.converged == seq.converged
+    for name in ("weights", "ranks", "adjusted_weights", "adjusted_ranks", "variances"):
+        assert getattr(par, name).tobytes() == getattr(seq, name).tobytes()
+    assert par_cache == seq_cache
 
 
 def test_select_gives_up_on_tiny_dataset():

@@ -174,6 +174,36 @@ def test_validate_uses_full_trace_without_oracle_calls():
     assert report.mape is not None
 
 
+def test_validate_skips_failed_hours_of_a_partial_full_trace():
+    # 11 of 1500 hours fail in the full scan; their NaN must stay out of
+    # the draw instead of reaching the APE histogram
+    data = small_year(n=1500)
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    bad_hours = set(range(5, data.n_points, 137))
+    bad_points = {data.values[i].tobytes() for i in bad_hours}
+
+    class Flaky(gs.StabilityOracle):
+        kind = "flaky"
+
+        def _evaluate(self, point):
+            if point.tobytes() in bad_points:
+                raise RuntimeError("solver diverged")
+            return base._evaluate(point)
+
+    oracle = Flaky()
+    report = gs.compare_full_vs_fast(data, oracle, small_config())
+    assert np.isnan(report.lambda_full).sum() == len(bad_hours) == 11
+    report = gs.validate(report, data, oracle, 500, seed=2)
+    assert report.validation_excluded == 11
+    assert len(report.validation) == 500
+    assert not {s.hour for s in report.validation} & bad_hours
+    assert np.isfinite(report.mape) and np.isfinite(report.max_ape)
+    assert sum(c for _, _, c in report.histogram) == 500
+    assert report.to_dict()["validation_excluded"] == 11
+    with pytest.raises(ValueError, match="known index"):
+        gs.validate(report, data, oracle, data.n_points, seed=2)
+
+
 # ── worst case ───────────────────────────────────────────────────────────
 
 
@@ -205,6 +235,24 @@ def test_worst_case_interaction_oracle_shifts_minimum(year):
     trace = gs.full_scan(year, oracle)
     result = gs.worst_case_analysis(trace, demand)
     assert result.shifted
+
+
+def test_worst_case_leaves_out_failed_hours(rng):
+    lam = rng.normal(size=200)
+    demand = -lam + 0.1 * rng.normal(size=200)
+    failed = (3, 50, 121)
+    holes = lam.copy()
+    holes[list(failed)] = np.nan
+    trace = gs.StabilityTrace(hours=np.arange(200), lam=holes, kind="t", failed_hours=failed)
+    result = gs.worst_case_analysis(trace, demand)
+    keep = np.setdiff1d(np.arange(200), failed)
+    subset = gs.worst_case_analysis(
+        gs.StabilityTrace(hours=keep, lam=lam[keep], kind="t"), demand[keep]
+    )
+    assert result.excluded_hours == failed
+    assert result.to_dict() == {**subset.to_dict(), "excluded_hours": list(failed)}
+    assert "excluded_hours" not in subset.to_dict()
+    assert np.isfinite(result.lambda_min) and result.pearson_r < -0.9
 
 
 def test_worst_case_length_mismatch():
