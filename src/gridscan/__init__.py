@@ -3,30 +3,13 @@
 Cluster a year of operating points with feature-weighted self-adaptive
 PSO-k-means, evaluate stability indices only at cluster centroids, and
 quantify the accuracy/speed-up trade-off against an exhaustive scan.
+
+This namespace holds the user-facing API; internals stay in their modules.
 """
 
-from .clustering import (
-    AdaptiveParams,
-    ClusterModel,
-    Particle,
-    PsoParams,
-    Swarm,
-    centroid_of,
-    init_centroids_random,
-    init_swarm,
-    inertia_weight,
-    kmeans,
-    mutation_check,
-    pso_step,
-    self_adaptive_pso_kmeans,
-    smse,
-    validate_weights,
-    weighted_distance,
-)
+from .clustering import AdaptiveParams, ClusterModel, PsoParams, self_adaptive_pso_kmeans
 from .dataset import (
-    Attribute,
     AttributeKind,
-    CsvFormatError,
     OperatingPointSet,
     SyntheticYearConfig,
     denormalize,
@@ -35,32 +18,11 @@ from .dataset import (
     normalize,
     save_csv,
 )
-from .oracles import (
-    DampingSurrogate,
-    StabilityOracle,
-    StabilityTrace,
-    TabulatedOracle,
-    TwoBusMargin,
-    affine_demand_map,
-    evaluate_many,
-    full_scan,
-    two_bus_margin,
-)
-from .relief import (
-    DegeneratePredictionError,
-    FeatureReport,
-    ReliefParams,
-    adjust_weights,
-    attribute_diff,
-    neighbor_influence,
-    prediction_diff,
-    rrelieff_pass,
-    select_features,
-)
+from .oracles import DampingSurrogate, StabilityTrace, TwoBusMargin, full_scan
+from .relief import FeatureReport, ReliefParams, select_features
 from .scanning import (
     ScanConfig,
     ScanReport,
-    ValidationSample,
     WorstCaseReport,
     compare_full_vs_fast,
     fast_scan,

@@ -6,7 +6,9 @@ oracle, and the scan parameters; ``--set dotted.path=value`` overrides
 individual fields.  Every run writes a ``run_manifest.json`` with the
 resolved config hash and checksums of the deterministic artifacts, so
 re-running with the same config reproduces identical outputs (wall-clock
-numbers live in the separate, unchecksummed ``timing.json``).
+numbers live in the separate, unchecksummed ``timing.json``).  ``select``
+and ``cluster`` run the stages of :func:`~gridscan.scanning.fast_scan` on
+its seeds, so they write the artifacts ``fastscan`` would.
 
 Exit codes: 0 success, 2 config/validation error, 3 finished with
 non-convergence flags.
@@ -18,12 +20,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .clustering import AdaptiveParams, PsoParams, self_adaptive_pso_kmeans
+from .clustering import self_adaptive_pso_kmeans  # noqa: F401  uncalled; perfbench spans wrap it
 from .dataset import (
     AttributeKind,
     OperatingPointSet,
@@ -34,11 +37,13 @@ from .dataset import (
     save_csv,
 )
 from .oracles import DampingSurrogate, StabilityTrace, TwoBusMargin, full_scan
-from .relief import ReliefParams, select_features
+from .relief import select_features  # noqa: F401  uncalled; perfbench spans wrap it
 from .scanning import (
     ScanConfig,
+    cluster_stage,
     compare_full_vs_fast,
     fast_scan,
+    select_stage,
     validate,
     worst_case_analysis,
 )
@@ -48,59 +53,25 @@ class ConfigError(ValueError):
     """Invalid run config; message names the offending key path."""
 
 
+def _schema(cls) -> dict:
+    """Config keys of a parameter dataclass; nested parameter dataclasses are sections."""
+    return {
+        f.name: _schema(type(f.default)) if is_dataclass(f.default) else None
+        for f in fields(cls)
+    }
+
+
 _SCHEMA = {
-    "dataset": {
-        "csv": None,
-        "synthetic": {
-            "n_hours": None,
-            "n_attributes": None,
-            "seed": None,
-            "seasonal_amplitude": None,
-            "diurnal_amplitude": None,
-            "noise_sigma": None,
-            "n_informative": None,
-        },
-    },
-    "oracle": {
-        "kind": None,
-        "seed": None,
-        "b0": None,
-        "linear": None,
-        "quadratic": None,
-        "informative": None,
-        "E": None,
-        "X": None,
-        "load_columns": None,
-        "delay_ms": None,
-    },
-    "scan": {
-        "relief": {
-            "m": None,
-            "k": None,
-            "sigma": None,
-            "batch": None,
-            "rho_threshold": None,
-            "epsilon_f": None,
-            "window": None,
-        },
-        "C": None,
-        "pso": {
-            "swarm_size": None,
-            "n_iter": None,
-            "c1": None,
-            "c2": None,
-            "w_max": None,
-            "w_min": None,
-            "sigma_t2": None,
-            "p0": None,
-            "seed": None,
-        },
-        "adapt": {"k_init": None, "eps_d": None, "eps_c": None, "max_outer": None},
-        "sample_size": None,
-        "seed": None,
-    },
+    "dataset": {"csv": None, "synthetic": _schema(SyntheticYearConfig)},
+    "oracle": dict.fromkeys(
+        ["kind", "seed", "b0", "linear", "quadratic", "informative", "E", "X",
+         "load_columns", "delay_ms"]
+    ),
+    "scan": _schema(ScanConfig),
     "worstcase": {"trace": None},
 }
+# Every scan seed is derived from scan.seed, so no subcommand reads this one.
+del _SCHEMA["scan"]["pso"]["seed"]
 
 
 def _check_keys(node, schema, path=""):
@@ -149,9 +120,14 @@ def load_config(path: str | None, overrides) -> dict:
     return config
 
 
-def _build(cls, section: dict, path: str):
+def _build(cls, section: dict | None, path: str):
+    """A parameter dataclass from a config section; absent keys keep its defaults."""
+    kwargs = dict(section or {})
+    for f in fields(cls):
+        if is_dataclass(f.default) and f.name in kwargs:
+            kwargs[f.name] = _build(type(f.default), kwargs[f.name], f"{path}.{f.name}")
     try:
-        return cls(**section)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {path!r}: {exc}")
 
@@ -165,27 +141,25 @@ def build_dataset(config: dict) -> OperatingPointSet:
             return load_csv(section["csv"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"dataset.csv: {exc}")
-    synth = _build(SyntheticYearConfig, section.get("synthetic") or {}, "dataset.synthetic")
-    return generate_synthetic_year(synth)
+    return generate_synthetic_year(_synthetic_config(config))
+
+
+def _synthetic_config(config: dict) -> SyntheticYearConfig:
+    section = (config.get("dataset") or {}).get("synthetic")
+    return _build(SyntheticYearConfig, section, "dataset.synthetic")
 
 
 def build_oracle(config: dict, data: OperatingPointSet):
-    section = dict(config.get("oracle") or {})
-    kind = section.pop("kind", "damping_surrogate")
-    delay_ms = section.pop("delay_ms", 0.0)
+    section = config.get("oracle") or {}
+    kind = section.get("kind", "damping_surrogate")
+    delay_ms = section.get("delay_ms", 0.0)
     if kind == "damping_surrogate":
+        b0 = float(section.get("b0", 5.0))
         if "linear" in section:
-            linear = {int(i): float(c) for i, c in section.pop("linear").items()}
-            quadratic = {
-                (int(i), int(j)): float(c)
-                for i, j, c in section.pop("quadratic", [])
-            }
-            b0 = float(section.pop("b0", 5.0))
-            section.pop("seed", None)
-            section.pop("informative", None)
-            return DampingSurrogate(b0=b0, linear=linear, quadratic=quadratic,
-                                    delay_ms=delay_ms)
-        informative = section.pop("informative", None)
+            linear = {int(i): float(c) for i, c in section["linear"].items()}
+            quadratic = {(int(i), int(j)): float(c) for i, j, c in section.get("quadratic", [])}
+            return DampingSurrogate(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
+        informative = section.get("informative")
         if informative is None:
             informative = data.metadata.get("informative_indices")
         if not informative:
@@ -194,43 +168,23 @@ def build_oracle(config: dict, data: OperatingPointSet):
                 "coefficients (synthetic datasets provide them via metadata)"
             )
         return DampingSurrogate.from_seed(
-            informative,
-            seed=int(section.pop("seed", 0)),
-            b0=float(section.pop("b0", 5.0)),
-            delay_ms=delay_ms,
+            informative, seed=int(section.get("seed", 0)), b0=b0, delay_ms=delay_ms
         )
     if kind == "two_bus_margin":
-        load_columns = section.pop("load_columns", None)
+        load_columns = section.get("load_columns")
         if load_columns is None:
             load_columns = data.columns_of_kind(AttributeKind.LOAD_P)
         if not load_columns:
             raise ConfigError("oracle: two_bus_margin found no load_P columns")
-        return TwoBusMargin(
-            E=float(section.pop("E", 1.0)),
-            X=float(section.pop("X", 0.5)),
-            load_indices=load_columns,
-            delay_ms=delay_ms,
-        )
+        return TwoBusMargin(E=float(section.get("E", 1.0)), X=float(section.get("X", 0.5)),
+                            load_indices=load_columns, delay_ms=delay_ms)
     raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
 
 
-def build_scan_config(config: dict) -> ScanConfig:
-    section = config.get("scan") or {}
-    relief = _build(ReliefParams, section.get("relief") or {}, "scan.relief")
-    pso = _build(PsoParams, section.get("pso") or {}, "scan.pso")
-    adapt = _build(AdaptiveParams, section.get("adapt") or {}, "scan.adapt")
-    return _build(
-        ScanConfig,
-        {
-            "relief": relief,
-            "pso": pso,
-            "adapt": adapt,
-            "C": section.get("C"),
-            "sample_size": section.get("sample_size", 500),
-            "seed": section.get("seed", 0),
-        },
-        "scan",
-    )
+def _pipeline_inputs(config: dict):
+    """Dataset, oracle and scan config: what every scanning subcommand starts from."""
+    data = build_dataset(config)
+    return data, build_oracle(config, data), _build(ScanConfig, config.get("scan"), "scan")
 
 
 def _sha256_file(path: Path) -> str:
@@ -273,29 +227,37 @@ def _demand_series(data: OperatingPointSet) -> np.ndarray:
     return raw[:, cols].sum(axis=1)
 
 
-def cmd_generate(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _oracle_config(oracle) -> dict:
+    return oracle.config() if hasattr(oracle, "config") else {"kind": oracle.kind}
+
+
+def _write_full_trace(out: Path, trace: StabilityTrace, data, oracle):
+    """``full_trace.csv`` plus the meta file that keys its reuse by compare."""
+    trace.save_csv(out / "full_trace.csv")
+    meta = {
+        "dataset_sha256": _dataset_hash(data),
+        "oracle": _oracle_config(oracle),
+        "elapsed_s": trace.elapsed_s,
+        "partial": trace.partial,
+    }
+    (out / "full_trace.meta.json").write_text(json.dumps(meta, indent=2))
+
+
+def cmd_generate(args, out: Path, config: dict) -> int:
     target = out / "dataset.csv"
     if target.exists() and not args.force:
         print(f"error: {target} exists; pass --force to overwrite", file=sys.stderr)
         return 2
-    section = config.get("dataset") or {}
-    synth = _build(SyntheticYearConfig, section.get("synthetic") or {}, "dataset.synthetic")
-    data = generate_synthetic_year(synth)
+    data = generate_synthetic_year(_synthetic_config(config))
     save_csv(data, target)
     write_manifest(out, "generate", config, ["dataset.csv", "dataset.csv.norm.json"])
     print(f"wrote {target} ({data.n_points} hours x {data.n_attributes} attributes)")
     return 0
 
 
-def cmd_select(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data = build_dataset(config)
-    oracle = build_oracle(config, data)
-    scan = build_scan_config(config)
-    report = select_features(data, oracle, scan.relief, C=scan.C, seed=scan.seed)
+def cmd_select(args, out: Path, config: dict) -> int:
+    data, oracle, scan = _pipeline_inputs(config)
+    report = select_stage(data, oracle, scan)
     report.save_json(out / "feature_report.json")
     report.save_csv(out / "feature_report.csv")
     write_manifest(out, "select", config, ["feature_report.json", "feature_report.csv"])
@@ -306,29 +268,20 @@ def cmd_select(args, config: dict) -> int:
     return 0 if report.converged else 3
 
 
-def _weights_for_cluster(out: Path, data, oracle, scan: ScanConfig):
+def _weights_for_cluster(out: Path, data, oracle, scan: ScanConfig) -> np.ndarray:
+    """Distance weights of ``feature_report.json`` if it fits the dataset, else a
+    fresh selection stage's."""
     report_path = out / "feature_report.json"
     if report_path.exists():
-        payload = json.loads(report_path.read_text())
-        weights = np.array(
-            [max(row["adjusted_weight"], 0.0) for row in payload["attributes"]]
-        )
-        if len(weights) == data.n_attributes and np.any(weights > 0):
-            return weights, True
-    report = select_features(data, oracle, scan.relief, C=scan.C, seed=scan.seed)
-    return report.distance_weights(), report.converged
+        rows = json.loads(report_path.read_text())["attributes"]
+        if len(rows) == data.n_attributes:
+            return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
+    return select_stage(data, oracle, scan).distance_weights()
 
 
-def cmd_cluster(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data = build_dataset(config)
-    oracle = build_oracle(config, data)
-    scan = build_scan_config(config)
-    weights, _ = _weights_for_cluster(out, data, oracle, scan)
-    if not np.any(weights > 0):
-        weights = np.ones(data.n_attributes)
-    model = self_adaptive_pso_kmeans(data.values, weights, scan.pso, scan.adapt)
+def cmd_cluster(args, out: Path, config: dict) -> int:
+    data, oracle, scan = _pipeline_inputs(config)
+    model, _ = cluster_stage(data, _weights_for_cluster(out, data, oracle, scan), scan)
     model.save_json(out / "cluster_model.json")
     model.save_assignment_csv(out / "assignment.csv", hours=data.timestamps)
     write_manifest(out, "cluster", config, ["cluster_model.json", "assignment.csv"])
@@ -336,21 +289,11 @@ def cmd_cluster(args, config: dict) -> int:
     return 0 if model.converged else 3
 
 
-def cmd_fullscan(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data = build_dataset(config)
-    oracle = build_oracle(config, data)
+def cmd_fullscan(args, out: Path, config: dict) -> int:
+    data, oracle, _ = _pipeline_inputs(config)
     trace = full_scan(data, oracle)
-    trace.save_csv(out / "full_trace.csv")
+    _write_full_trace(out, trace, data, oracle)
     trace.save_json(out / "full_trace.json")
-    meta = {
-        "dataset_sha256": _dataset_hash(data),
-        "oracle": oracle.config() if hasattr(oracle, "config") else {"kind": oracle.kind},
-        "elapsed_s": trace.elapsed_s,
-        "partial": trace.partial,
-    }
-    (out / "full_trace.meta.json").write_text(json.dumps(meta, indent=2))
     write_manifest(out, "fullscan", config, ["full_trace.csv", "full_trace.json"])
     print(f"full scan: {len(trace.lam)} evaluations in {trace.elapsed_s:.2f} s")
     return 0
@@ -366,23 +309,12 @@ def _write_scan_artifacts(out: Path, report, data) -> list[str]:
     report.model.save_assignment_csv(out / "assignment.csv", hours=data.timestamps)
     timing = {"timing": report.timing, "speedup": report.speedup}
     (out / "timing.json").write_text(json.dumps(timing, indent=2))
-    return [
-        "scan_report.json",
-        "scan_trace.csv",
-        "ape_histogram.csv",
-        "feature_report.json",
-        "feature_report.csv",
-        "cluster_model.json",
-        "assignment.csv",
-    ]
+    return ["scan_report.json", "scan_trace.csv", "ape_histogram.csv", "feature_report.json",
+            "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
-def cmd_fastscan(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data = build_dataset(config)
-    oracle = build_oracle(config, data)
-    scan = build_scan_config(config)
+def cmd_fastscan(args, out: Path, config: dict) -> int:
+    data, oracle, scan = _pipeline_inputs(config)
     report = fast_scan(data, oracle, scan)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
     artifacts = _write_scan_artifacts(out, report, data)
@@ -400,39 +332,29 @@ def _cached_full_trace(out: Path, data, oracle) -> StabilityTrace | None:
     if not (trace_path.exists() and meta_path.exists()):
         return None
     meta = json.loads(meta_path.read_text())
-    oracle_cfg = oracle.config() if hasattr(oracle, "config") else {"kind": oracle.kind}
-    if meta.get("dataset_sha256") != _dataset_hash(data):
-        return None
-    if meta.get("oracle") != oracle_cfg or meta.get("partial"):
+    oracle_cfg = _oracle_config(oracle)
+    if (meta.get("dataset_sha256") != _dataset_hash(data) or meta.get("oracle") != oracle_cfg
+            or meta.get("partial")):
         return None
     trace = StabilityTrace.load_csv(trace_path, kind=oracle_cfg.get("kind", "tabulated"))
     trace.elapsed_s = float(meta.get("elapsed_s", 0.0))
     return trace
 
 
-def cmd_compare(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data = build_dataset(config)
-    oracle = build_oracle(config, data)
-    scan = build_scan_config(config)
+def cmd_compare(args, out: Path, config: dict) -> int:
+    data, oracle, scan = _pipeline_inputs(config)
     cached = _cached_full_trace(out, data, oracle)
     report = compare_full_vs_fast(data, oracle, scan, cached_full=cached)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
     artifacts = _write_scan_artifacts(out, report, data)
     if cached is None:
+        lam = report.lambda_full
         trace = StabilityTrace(
-            hours=data.timestamps.copy(), lam=report.lambda_full,
-            kind=oracle.kind, elapsed_s=report.timing["full_scan_s"],
+            hours=data.timestamps.copy(), lam=lam, kind=oracle.kind,
+            failed_hours=tuple(int(h) for h in data.timestamps[np.isnan(lam)]),
+            elapsed_s=report.timing["full_scan_s"],
         )
-        trace.save_csv(out / "full_trace.csv")
-        meta = {
-            "dataset_sha256": _dataset_hash(data),
-            "oracle": oracle.config() if hasattr(oracle, "config") else {"kind": oracle.kind},
-            "elapsed_s": trace.elapsed_s,
-            "partial": False,
-        }
-        (out / "full_trace.meta.json").write_text(json.dumps(meta, indent=2))
+        _write_full_trace(out, trace, data, oracle)
         artifacts.append("full_trace.csv")
     write_manifest(out, "compare", config, artifacts)
     print(
@@ -442,9 +364,7 @@ def cmd_compare(args, config: dict) -> int:
     return 3 if report.flagged else 0
 
 
-def cmd_worstcase(args, config: dict) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_worstcase(args, out: Path, config: dict) -> int:
     data = build_dataset(config)
     which = (config.get("worstcase") or {}).get("trace", "full")
     if which == "full":
@@ -515,7 +435,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.overrides)
-        return _COMMANDS[args.command](args, config)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, out, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -260,6 +260,7 @@ class StabilityTrace:
 
     @classmethod
     def load_csv(cls, path, kind: str = "tabulated") -> "StabilityTrace":
+        """Read a :meth:`save_csv` file; its ``nan`` rows become ``failed_hours``."""
         path = Path(path)
         hours, lam = [], []
         with open(path, encoding="utf-8") as fh:
@@ -273,7 +274,8 @@ class StabilityTrace:
                 h, v = line.split(",")
                 hours.append(int(h))
                 lam.append(float(v))
-        return cls(hours=np.array(hours), lam=np.array(lam), kind=kind)
+        failed = tuple(h for h, v in zip(hours, lam) if math.isnan(v))
+        return cls(hours=np.array(hours), lam=np.array(lam), kind=kind, failed_hours=failed)
 
 
 def evaluate_many(oracle, points, catch_failures: bool = False):

@@ -93,7 +93,7 @@ class ScanReport:
         """True when any stage failed to converge."""
         return not (self.feature_selection_converged and self.clustering_converged)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         payload = {
             "k_final": self.k_final,
             "reduction": self.reduction,
@@ -125,14 +125,11 @@ class ScanReport:
             payload["validation_excluded"] = self.validation_excluded
         if self.lambda_full is not None:
             payload["lambda_full"] = [float(v) for v in self.lambda_full]
-        if include_timing:
-            payload["timing"] = dict(self.timing)
-            payload["speedup"] = self.speedup
         return payload
 
-    def save_json(self, path, include_timing: bool = False) -> Path:
+    def save_json(self, path) -> Path:
         path = Path(path)
-        path.write_text(json.dumps(self.to_dict(include_timing=include_timing), indent=2))
+        path.write_text(json.dumps(self.to_dict(), indent=2))
         return path
 
     def save_trace_csv(self, path) -> Path:
@@ -160,6 +157,30 @@ class ScanReport:
         return path
 
 
+def select_stage(data, oracle, config: ScanConfig = ScanConfig(),
+                 cache: dict | None = None) -> FeatureReport:
+    """First stage of :func:`fast_scan`: feature selection on the derived
+    selection seed."""
+    selection_seed, _ = _derived_seeds(config.seed)
+    return select_features(data, oracle, config.relief, C=config.C, seed=selection_seed,
+                           cache=cache)
+
+
+def cluster_stage(data, weights, config: ScanConfig = ScanConfig()) -> tuple[ClusterModel, bool]:
+    """Second stage of :func:`fast_scan`: clustering on the derived swarm seed.
+
+    All-zero distance weights fall back to uniform ones; the flag says so.
+    """
+    _, pso_seed = _derived_seeds(config.seed)
+    fallback = not np.any(weights > 0)
+    if fallback:
+        weights = np.ones(data.n_attributes)
+    model = self_adaptive_pso_kmeans(
+        data.values, weights, replace(config.pso, seed=pso_seed), config.adapt
+    )
+    return model, fallback
+
+
 def fast_scan(data, oracle, config: ScanConfig = ScanConfig()) -> ScanReport:
     """Feature selection, clustering, and centroid-only oracle evaluation.
 
@@ -168,25 +189,15 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig()) -> ScanReport:
     non-converged feature selection proceeds with its latest weights and
     is flagged in the report.
     """
-    selection_seed, pso_seed, _ = _derived_seeds(config.seed)
     count_before = getattr(oracle, "eval_count", None)
 
     t0 = time.perf_counter()
     cache: dict[int, float] = {}
-    freport = select_features(
-        data, oracle, config.relief, C=config.C, seed=selection_seed, cache=cache
-    )
+    freport = select_stage(data, oracle, config, cache=cache)
     t_select = time.perf_counter() - t0
 
-    weights = freport.distance_weights()
-    fallback = not np.any(weights > 0)
-    if fallback:
-        weights = np.ones(data.n_attributes)
-
     t1 = time.perf_counter()
-    model = self_adaptive_pso_kmeans(
-        data.values, weights, replace(config.pso, seed=pso_seed), config.adapt
-    )
+    model, fallback = cluster_stage(data, freport.distance_weights(), config)
     t_cluster = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -397,6 +408,7 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
     )
 
 
-def _derived_seeds(seed: int) -> tuple[int, int, int]:
-    children = np.random.SeedSequence(seed).spawn(3)
+def _derived_seeds(seed: int) -> tuple[int, int]:
+    """Selection and swarm seeds derived from ``ScanConfig.seed``."""
+    children = np.random.SeedSequence(seed).spawn(2)
     return tuple(int(c.generate_state(1)[0]) for c in children)

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from gridscan import cli
 from gridscan.cli import main
+from gridscan.oracles import DampingSurrogate
 
 SMALL_CONFIG = {
     "dataset": {
@@ -76,6 +78,16 @@ def test_set_override_dotted_path(tmp_path, config_path):
     assert len(rows) == 101
 
 
+def test_pso_seed_is_not_a_config_key(tmp_path, config_path, capsys):
+    # every scan seed derives from scan.seed
+    code = main(
+        ["cluster", "--config", config_path, "--out", str(tmp_path / "o"),
+         "--set", "scan.pso.seed=3"]
+    )
+    assert code == 2
+    assert "scan.pso.seed" in capsys.readouterr().err
+
+
 def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     code = main(
         ["generate", "--config", config_path, "--out", str(tmp_path / "o"),
@@ -93,17 +105,29 @@ def test_select_writes_feature_report(tmp_path, config_path):
     assert (out / "feature_report.csv").exists()
 
 
-def test_cluster_reuses_feature_report(tmp_path, config_path):
-    out = tmp_path / "out"
+def test_cluster_reuses_feature_report(tmp_path, config_path, monkeypatch):
+    out, fast = tmp_path / "out", tmp_path / "fast"
     assert main(["select", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(fast)]) == 0
     report_hash = sha(out / "feature_report.json")
+    monkeypatch.setattr(cli, "select_stage", lambda *a, **k: pytest.fail("cluster reselected"))
     assert main(["cluster", "--config", config_path, "--out", str(out)]) == 0
     assert sha(out / "feature_report.json") == report_hash
-    model = json.loads((out / "cluster_model.json").read_text())
-    assert model["k"] >= 1
+    # the reloaded weights give fastscan's model
+    assert sha(out / "cluster_model.json") == sha(fast / "cluster_model.json")
     lines = (out / "assignment.csv").read_text().strip().splitlines()
     assert lines[0] == "hour,cluster_id"
     assert len(lines) == 301
+
+
+def test_staged_select_cluster_match_fastscan(tmp_path, config_path):
+    staged, fast = tmp_path / "staged", tmp_path / "fast"
+    assert main(["select", "--config", config_path, "--out", str(staged)]) == 0
+    assert main(["cluster", "--config", config_path, "--out", str(staged)]) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(fast)]) == 0
+    for name in ("feature_report.json", "feature_report.csv", "cluster_model.json",
+                 "assignment.csv"):
+        assert (staged / name).read_bytes() == (fast / name).read_bytes(), name
 
 
 def test_fastscan_artifacts_and_manifest_reproducibility(tmp_path, config_path):
@@ -151,6 +175,34 @@ def test_compare_without_cache_writes_trace(tmp_path, config_path):
     assert (out / "full_trace.csv").exists()
     report = json.loads((out / "scan_report.json").read_text())
     assert "lambda_full" in report
+
+
+class _FailingSurrogate(DampingSurrogate):
+    """A surrogate whose solver fails at a few exact operating points."""
+
+    def __init__(self, base, bad_points):
+        super().__init__(base.b0, base.linear, base.quadratic)
+        self.bad = {p.tobytes() for p in bad_points}
+
+    def _evaluate(self, point):
+        if point.tobytes() in self.bad:
+            raise RuntimeError("solver diverged")
+        return super()._evaluate(point)
+
+
+def test_compare_then_worstcase_on_a_partial_full_scan(tmp_path, config_path, monkeypatch):
+    build = cli.build_oracle
+    monkeypatch.setattr(
+        cli, "build_oracle",
+        lambda config, data: _FailingSurrogate(build(config, data), data.values[[3, 77]]),
+    )
+    out = tmp_path / "out"
+    assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
+    meta = json.loads((out / "full_trace.meta.json").read_text())
+    assert meta["partial"] is True
+    assert main(["worstcase", "--config", config_path, "--out", str(out)]) == 0
+    payload = json.loads((out / "worst_case.json").read_text())
+    assert payload["excluded_hours"] == [3, 77]
 
 
 def test_worstcase_from_full_trace(tmp_path, config_path):

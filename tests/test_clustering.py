@@ -11,6 +11,7 @@ from gridscan.clustering import (
     Swarm,
     _cluster_means,
     _WeightedSpace,
+    centroid_of,
     default_k_init,
     inertia_weight,
     init_centroids_random,
@@ -21,6 +22,7 @@ from gridscan.clustering import (
     self_adaptive_pso_kmeans,
     smse,
     swarm_fitness_variance,
+    validate_weights,
     velocity_position_update,
     weighted_distance,
 )
@@ -95,20 +97,20 @@ def test_weighted_distance_metric_axioms(xs, ys, zs, ws):
 
 
 def test_centroid_of_examples():
-    assert gs.centroid_of([[1.0, 2.0]]).tolist() == [1.0, 2.0]
-    assert gs.centroid_of([[0.0, 0.0], [2.0, 2.0]]).tolist() == [1.0, 1.0]
-    assert gs.centroid_of([[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]).tolist() == [0.0, 0.0]
+    assert centroid_of([[1.0, 2.0]]).tolist() == [1.0, 2.0]
+    assert centroid_of([[0.0, 0.0], [2.0, 2.0]]).tolist() == [1.0, 1.0]
+    assert centroid_of([[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]).tolist() == [0.0, 0.0]
     with pytest.raises(ValueError):
-        gs.centroid_of([])
+        centroid_of([])
 
 
 def test_validate_weights():
     with pytest.raises(ValueError):
-        gs.validate_weights(np.zeros(3))
+        validate_weights(np.zeros(3))
     with pytest.raises(ValueError):
-        gs.validate_weights(np.array([1.0, -0.1]))
+        validate_weights(np.array([1.0, -0.1]))
     with pytest.raises(ValueError):
-        gs.validate_weights(np.array([np.inf, 1.0]))
+        validate_weights(np.array([np.inf, 1.0]))
 
 
 # ── SMSE ─────────────────────────────────────────────────────────────────

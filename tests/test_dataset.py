@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gridscan as gs
-from gridscan.dataset import kind_from_name
+from gridscan.dataset import CsvFormatError, kind_from_name
 
 
 def test_normalize_endpoints():
@@ -73,21 +73,21 @@ def test_load_csv_well_formed(tmp_path):
 def test_load_csv_text_cell_cites_row(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("hour,a\n0,1.0\n1,oops\n")
-    with pytest.raises(gs.CsvFormatError, match="row 3"):
+    with pytest.raises(CsvFormatError, match="row 3"):
         gs.load_csv(p)
 
 
 def test_load_csv_ragged_row(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("hour,a,b\n0,1.0,2.0\n1,1.0\n")
-    with pytest.raises(gs.CsvFormatError, match="row 3"):
+    with pytest.raises(CsvFormatError, match="row 3"):
         gs.load_csv(p)
 
 
 def test_load_csv_duplicate_hour(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("hour,a\n0,1.0\n0,2.0\n")
-    with pytest.raises(gs.CsvFormatError, match="duplicate hour 0"):
+    with pytest.raises(CsvFormatError, match="duplicate hour 0"):
         gs.load_csv(p)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gridscan as gs
-from gridscan.oracles import affine_demand_map, two_bus_margin
+from gridscan.oracles import TabulatedOracle, affine_demand_map, evaluate_many, two_bus_margin
 
 
 def margin_by_bisection(E, X, p0, tol=1e-9):
@@ -148,7 +148,7 @@ def test_two_bus_oracle_negative_margin_flags_infeasible():
 def test_tabulated_oracle_lookup_and_failure(rng):
     pts = rng.uniform(-1, 1, size=(5, 2))
     vals = np.arange(5.0)
-    oracle = gs.TabulatedOracle(pts, vals)
+    oracle = TabulatedOracle(pts, vals)
     assert oracle(pts[3]) == 3.0
     with pytest.raises(KeyError):
         oracle(np.array([9.0, 9.0]))
@@ -180,7 +180,7 @@ def test_full_scan_year_horizon(year, year_oracle):
 def test_full_scan_records_failures(rng):
     data = gs.normalize(rng.uniform(0, 1, size=(8, 2)), ["a", "b"])
     # table covers all but two rows: those evaluations fail per-hour
-    oracle = gs.TabulatedOracle(data.values[:6], np.arange(6.0))
+    oracle = TabulatedOracle(data.values[:6], np.arange(6.0))
     trace = gs.full_scan(data, oracle)
     assert trace.partial
     assert trace.failed_hours == (6, 7)
@@ -196,10 +196,24 @@ def test_trace_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(back.lam, trace.lam)
 
 
+def test_partial_trace_csv_roundtrip(tmp_path, rng):
+    data = gs.normalize(rng.uniform(0, 1, size=(8, 2)), ["a", "b"])
+    # the table lacks rows 1 and 5, so the full scan fails there
+    kept = [0, 2, 3, 4, 6, 7]
+    trace = gs.full_scan(data, TabulatedOracle(data.values[kept], np.arange(6.0)))
+    assert trace.failed_hours == (1, 5)
+    back = gs.StabilityTrace.load_csv(trace.save_csv(tmp_path / "t.csv"))
+    assert np.array_equal(back.hours, trace.hours)
+    assert np.array_equal(np.isnan(back.lam), np.isnan(trace.lam))
+    assert np.array_equal(back.lam[kept], trace.lam[kept])
+    assert back.failed_hours == trace.failed_hours
+    assert back.partial
+
+
 def test_evaluate_many_threaded_matches_sequential(rng, monkeypatch):
     oracle = gs.DampingSurrogate.from_seed([0, 1], seed=2)
     pts = rng.uniform(-1, 1, size=(40, 3))
-    seq, _ = gs.evaluate_many(oracle, pts)
+    seq, _ = evaluate_many(oracle, pts)
     monkeypatch.setenv("GRIDSCAN_THREADS", "4")
-    par, _ = gs.evaluate_many(oracle, pts)
+    par, _ = evaluate_many(oracle, pts)
     assert np.array_equal(seq, par)

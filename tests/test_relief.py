@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gridscan as gs
+from gridscan.oracles import StabilityOracle
 from gridscan.relief import (
     DegeneratePredictionError,
     ReliefParams,
@@ -245,7 +246,7 @@ def test_adjust_can_reorder_features():
 
 
 def test_select_constant_oracle_propagates_degeneracy(year):
-    class Flat(gs.StabilityOracle):
+    class Flat(StabilityOracle):
         kind = "flat"
 
         def _evaluate(self, point):
@@ -282,7 +283,7 @@ def test_select_skips_failing_hours(year):
     informative = year.metadata["informative_indices"]
     base = gs.DampingSurrogate.from_seed(informative, seed=101)
 
-    class Flaky(gs.StabilityOracle):
+    class Flaky(StabilityOracle):
         kind = "flaky"
 
         def _evaluate(self, point):
@@ -302,7 +303,7 @@ def test_select_threaded_matches_sequential(year, monkeypatch):
     bad_hours = set(range(0, year.n_points, 13))
     bad_points = {year.values[i].tobytes() for i in bad_hours}
 
-    class Flaky(gs.StabilityOracle):
+    class Flaky(StabilityOracle):
         kind = "flaky"
 
         def __init__(self):

@@ -3,6 +3,7 @@ import pytest
 
 import gridscan as gs
 from gridscan.clustering import AdaptiveParams, PsoParams
+from gridscan.oracles import StabilityOracle
 from gridscan.relief import ReliefParams
 from gridscan.scanning import ScanConfig
 
@@ -138,7 +139,7 @@ def test_validate_near_zero_lambda_uses_absolute_error():
     # sample to the flagged absolute-error fallback
     data = small_year(n=120)
 
-    class Zeroish(gs.StabilityOracle):
+    class Zeroish(StabilityOracle):
         kind = "zeroish"
 
         def _evaluate(self, point):
@@ -182,7 +183,7 @@ def test_validate_skips_failed_hours_of_a_partial_full_trace():
     bad_hours = set(range(5, data.n_points, 137))
     bad_points = {data.values[i].tobytes() for i in bad_hours}
 
-    class Flaky(gs.StabilityOracle):
+    class Flaky(StabilityOracle):
         kind = "flaky"
 
         def _evaluate(self, point):
