@@ -8,7 +8,10 @@ resolved config hash and checksums of the deterministic artifacts, so
 re-running with the same config reproduces identical outputs (wall-clock
 numbers live in the separate, unchecksummed ``timing.json``).  ``select``
 and ``cluster`` run the stages of :func:`~gridscan.scanning.fast_scan` on
-its seeds, so they write the artifacts ``fastscan`` would.
+its seeds, so they write the artifacts ``fastscan`` would.  Artifacts that
+later commands reuse (``feature_report.json``, ``cluster_model.json``,
+``full_trace.csv``) get a ``<name>.meta.json`` key naming what they were
+computed from; they are reused only while that key matches.
 
 Exit codes: 0 success, 2 config/validation error, 3 finished with
 non-convergence flags.
@@ -20,12 +23,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .clustering import ClusterModel
 from .clustering import self_adaptive_pso_kmeans  # noqa: F401  uncalled; perfbench spans wrap it
 from .dataset import (
     AttributeKind,
@@ -231,16 +235,44 @@ def _oracle_config(oracle) -> dict:
     return oracle.config() if hasattr(oracle, "config") else {"kind": oracle.kind}
 
 
+def _cache_key(data, oracle, scan: ScanConfig | None = None) -> dict:
+    """What a reusable artifact was computed from: the program version, the
+    dataset, the oracle and, for the scan stages, the resolved scan config."""
+    key = {"version": __version__, "dataset_sha256": _dataset_hash(data),
+           "oracle": _oracle_config(oracle)}
+    if scan is not None:
+        key["scan"] = asdict(scan)
+    return json.loads(json.dumps(key))  # as it reads back from a meta file
+
+
+def _meta_path(out: Path, name: str) -> Path:
+    return out / f"{name.split('.')[0]}.meta.json"
+
+
+def _write_keyed(out: Path, name: str, key: dict, **recorded):
+    """The meta file of artifact ``name``: its key, its checksum and ``recorded``."""
+    meta = {**key, "sha256": _sha256_file(out / name), **recorded}
+    _meta_path(out, name).write_text(json.dumps(meta, indent=2))
+
+
+def _read_keyed(out: Path, name: str, key: dict) -> dict | None:
+    """The meta file of artifact ``name`` if it was written under ``key`` and
+    the artifact still has the bytes it names; None when either file is
+    missing or unreadable."""
+    try:
+        meta = json.loads(_meta_path(out, name).read_text())
+        fresh = (isinstance(meta, dict) and all(meta.get(k) == v for k, v in key.items())
+                 and meta.get("sha256") == _sha256_file(out / name))
+    except (OSError, ValueError):
+        return None
+    return meta if fresh else None
+
+
 def _write_full_trace(out: Path, trace: StabilityTrace, data, oracle):
     """``full_trace.csv`` plus the meta file that keys its reuse by compare."""
     trace.save_csv(out / "full_trace.csv")
-    meta = {
-        "dataset_sha256": _dataset_hash(data),
-        "oracle": _oracle_config(oracle),
-        "elapsed_s": trace.elapsed_s,
-        "partial": trace.partial,
-    }
-    (out / "full_trace.meta.json").write_text(json.dumps(meta, indent=2))
+    _write_keyed(out, "full_trace.csv", _cache_key(data, oracle),
+                 elapsed_s=trace.elapsed_s, partial=trace.partial)
 
 
 def cmd_generate(args, out: Path, config: dict) -> int:
@@ -255,11 +287,32 @@ def cmd_generate(args, out: Path, config: dict) -> int:
     return 0
 
 
+def _write_feature_report(out: Path, report, key: dict):
+    report.save_json(out / "feature_report.json")
+    report.save_csv(out / "feature_report.csv")
+    _write_keyed(out, "feature_report.json", key)
+
+
+def _write_model(out: Path, model: ClusterModel, data, key: dict):
+    """The model, its assignment table, and the meta file keeping its clustering time."""
+    model.save_json(out / "cluster_model.json")
+    model.save_assignment_csv(out / "assignment.csv", hours=data.timestamps)
+    _write_keyed(out, "cluster_model.json", key, clustering_s=model.elapsed_s)
+
+
+def _cached_model(out: Path, key: dict) -> ClusterModel | None:
+    meta = _read_keyed(out, "cluster_model.json", key)
+    if meta is None:
+        return None
+    model = ClusterModel.load_json(out / "cluster_model.json")
+    model.elapsed_s = float(meta["clustering_s"])
+    return model
+
+
 def cmd_select(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config)
     report = select_stage(data, oracle, scan)
-    report.save_json(out / "feature_report.json")
-    report.save_csv(out / "feature_report.csv")
+    _write_feature_report(out, report, _cache_key(data, oracle, scan))
     write_manifest(out, "select", config, ["feature_report.json", "feature_report.csv"])
     print(
         f"feature selection: training_size={report.training_size} "
@@ -268,22 +321,20 @@ def cmd_select(args, out: Path, config: dict) -> int:
     return 0 if report.converged else 3
 
 
-def _weights_for_cluster(out: Path, data, oracle, scan: ScanConfig) -> np.ndarray:
-    """Distance weights of ``feature_report.json`` if it fits the dataset, else a
-    fresh selection stage's."""
-    report_path = out / "feature_report.json"
-    if report_path.exists():
-        rows = json.loads(report_path.read_text())["attributes"]
-        if len(rows) == data.n_attributes:
-            return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
+def _weights_for_cluster(out: Path, data, oracle, scan: ScanConfig, key: dict) -> np.ndarray:
+    """Distance weights of ``feature_report.json`` if it was selected under
+    ``key``, else a fresh selection stage's."""
+    if _read_keyed(out, "feature_report.json", key) is not None:
+        rows = json.loads((out / "feature_report.json").read_text())["attributes"]
+        return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
     return select_stage(data, oracle, scan).distance_weights()
 
 
 def cmd_cluster(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config)
-    model, _ = cluster_stage(data, _weights_for_cluster(out, data, oracle, scan), scan)
-    model.save_json(out / "cluster_model.json")
-    model.save_assignment_csv(out / "assignment.csv", hours=data.timestamps)
+    key = _cache_key(data, oracle, scan)
+    model, _ = cluster_stage(data, _weights_for_cluster(out, data, oracle, scan, key), scan)
+    _write_model(out, model, data, key)
     write_manifest(out, "cluster", config, ["cluster_model.json", "assignment.csv"])
     print(f"clustering: k={model.k} smse={model.smse:.6f} converged={model.converged}")
     return 0 if model.converged else 3
@@ -299,55 +350,56 @@ def cmd_fullscan(args, out: Path, config: dict) -> int:
     return 0
 
 
-def _write_scan_artifacts(out: Path, report, data) -> list[str]:
+def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> list[str]:
     report.save_json(out / "scan_report.json")
     report.save_trace_csv(out / "scan_trace.csv")
     report.save_histogram_csv(out / "ape_histogram.csv")
-    report.feature_report.save_json(out / "feature_report.json")
-    report.feature_report.save_csv(out / "feature_report.csv")
-    report.model.save_json(out / "cluster_model.json")
-    report.model.save_assignment_csv(out / "assignment.csv", hours=data.timestamps)
-    timing = {"timing": report.timing, "speedup": report.speedup}
+    _write_feature_report(out, report.feature_report, key)
+    _write_model(out, report.model, data, key)
+    timing = {"timing": report.timing, "speedup": report.speedup, "clustering_reused": reused}
     (out / "timing.json").write_text(json.dumps(timing, indent=2))
     return ["scan_report.json", "scan_trace.csv", "ape_histogram.csv", "feature_report.json",
             "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
+def _clustering_flag(model) -> str:
+    return "clustering=" + ("computed" if model is None else "reused")
+
+
 def cmd_fastscan(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config)
-    report = fast_scan(data, oracle, scan)
+    key = _cache_key(data, oracle, scan)
+    model = _cached_model(out, key)
+    report = fast_scan(data, oracle, scan, cached_model=model)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
-    artifacts = _write_scan_artifacts(out, report, data)
+    artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     write_manifest(out, "fastscan", config, artifacts)
     print(
         f"fast scan: k={report.k_final} reduction={report.reduction:.3f} "
-        f"mape={report.mape:.4f} max_ape={report.max_ape:.4f} flagged={report.flagged}"
+        f"mape={report.mape:.4f} max_ape={report.max_ape:.4f} flagged={report.flagged} "
+        f"{_clustering_flag(model)}"
     )
     return 3 if report.flagged else 0
 
 
 def _cached_full_trace(out: Path, data, oracle) -> StabilityTrace | None:
-    trace_path = out / "full_trace.csv"
-    meta_path = out / "full_trace.meta.json"
-    if not (trace_path.exists() and meta_path.exists()):
+    meta = _read_keyed(out, "full_trace.csv", _cache_key(data, oracle))
+    if meta is None:
         return None
-    meta = json.loads(meta_path.read_text())
-    oracle_cfg = _oracle_config(oracle)
-    if (meta.get("dataset_sha256") != _dataset_hash(data) or meta.get("oracle") != oracle_cfg
-            or meta.get("partial")):
-        return None
-    trace = StabilityTrace.load_csv(trace_path, kind=oracle_cfg.get("kind", "tabulated"))
-    trace.elapsed_s = float(meta.get("elapsed_s", 0.0))
+    trace = StabilityTrace.load_csv(out / "full_trace.csv", kind=oracle.kind)
+    trace.elapsed_s = float(meta["elapsed_s"])
     return trace
 
 
 def cmd_compare(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config)
-    cached = _cached_full_trace(out, data, oracle)
-    report = compare_full_vs_fast(data, oracle, scan, cached_full=cached)
+    key = _cache_key(data, oracle, scan)
+    cached, model = _cached_full_trace(out, data, oracle), _cached_model(out, key)
+    report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
-    artifacts = _write_scan_artifacts(out, report, data)
-    if cached is None:
+    artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
+    # A partial cached trace had its failed hours evaluated again.
+    if cached is None or cached.partial:
         lam = report.lambda_full
         trace = StabilityTrace(
             hours=data.timestamps.copy(), lam=lam, kind=oracle.kind,
@@ -359,7 +411,7 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     write_manifest(out, "compare", config, artifacts)
     print(
         f"compare: speedup={report.speedup:.2f}x (full {report.timing['full_scan_s']:.2f} s, "
-        f"cached={cached is not None}) mape={report.mape:.4f}"
+        f"cached={cached is not None} {_clustering_flag(model)}) mape={report.mape:.4f}"
     )
     return 3 if report.flagged else 0
 

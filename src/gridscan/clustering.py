@@ -138,7 +138,9 @@ class ClusterModel:
     centroid of point i (ties broken toward the lowest index).  ``smse``
     is the average over non-empty clusters of the mean member distance;
     for repaired final models ``empty_clusters`` is empty and the strict
-    recomputation matches within 1e-9.
+    recomputation matches within 1e-9.  ``elapsed_s`` is the wall time of
+    the scan's clustering stage that produced the model (0 outside a
+    scan); it is not serialized.
     """
 
     centroids: np.ndarray
@@ -152,6 +154,7 @@ class ClusterModel:
     eps_c: float | None = None
     smse_history: list[float] = field(default_factory=list, repr=False)
     objective_history: list[float] = field(default_factory=list, repr=False)
+    elapsed_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -169,6 +172,21 @@ class ClusterModel:
         path = Path(path)
         path.write_text(json.dumps(self.to_dict(), indent=2))
         return path
+
+    @classmethod
+    def load_json(cls, path) -> "ClusterModel":
+        """Read a :meth:`save_json` file back; the histories come back empty."""
+        payload = json.loads(Path(path).read_text())
+        return cls(
+            centroids=np.array(payload["centroids"], dtype=float),
+            assignment=np.array(payload["assignment"], dtype=np.intp),
+            weights=np.array(payload["weights"], dtype=float),
+            smse=payload["smse"],
+            k=payload["k"],
+            converged=payload["converged"],
+            eps_d=payload["eps_d"],
+            eps_c=payload["eps_c"],
+        )
 
     def save_assignment_csv(self, path, hours=None) -> Path:
         path = Path(path)

@@ -309,20 +309,29 @@ def evaluate_many(oracle, points, catch_failures: bool = False):
     return values, failed
 
 
-def full_scan(data, oracle) -> StabilityTrace:
+def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTrace:
     """Exhaustive baseline: one oracle evaluation per operating point.
 
     Failures are recorded per hour (the trace is then partial) and the
-    wall-clock time for the sweep lands in ``elapsed_s``.
+    wall-clock time for the sweep lands in ``elapsed_s``.  With ``resume``,
+    an earlier trace of the same hours, only its failed hours are
+    evaluated; the rest keep its values, and ``elapsed_s`` is its recorded
+    time plus this sweep's.
     """
+    lam, rows, elapsed = np.full(data.n_points, math.nan), np.arange(data.n_points), 0.0
+    if resume is not None:
+        if not np.array_equal(resume.hours, data.timestamps):
+            raise ValueError("resumed trace covers other hours than the dataset")
+        lam = resume.lam.copy()
+        rows = np.flatnonzero(np.isin(resume.hours, resume.failed_hours))
+        elapsed = resume.elapsed_s
     start = time.perf_counter()
-    values, failed = evaluate_many(oracle, data.values, catch_failures=True)
-    elapsed = time.perf_counter() - start
-    failed_hours = tuple(int(data.timestamps[i]) for i in failed)
+    lam[rows], failed = evaluate_many(oracle, data.values[rows], catch_failures=True)
+    elapsed += time.perf_counter() - start
     return StabilityTrace(
         hours=data.timestamps.copy(),
-        lam=values,
+        lam=lam,
         kind=getattr(oracle, "kind", "unknown"),
-        failed_hours=failed_hours,
+        failed_hours=tuple(int(data.timestamps[rows[i]]) for i in failed),
         elapsed_s=elapsed,
     )

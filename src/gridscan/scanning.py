@@ -166,28 +166,42 @@ def select_stage(data, oracle, config: ScanConfig = ScanConfig(),
                            cache=cache)
 
 
+def _with_fallback(weights, n_attributes: int) -> tuple[np.ndarray, bool]:
+    """The weights clustering uses: all-zero ones fall back to uniform (flag set)."""
+    fallback = not np.any(weights > 0)
+    return (np.ones(n_attributes) if fallback else weights), fallback
+
+
 def cluster_stage(data, weights, config: ScanConfig = ScanConfig()) -> tuple[ClusterModel, bool]:
     """Second stage of :func:`fast_scan`: clustering on the derived swarm seed.
 
     All-zero distance weights fall back to uniform ones; the flag says so.
+    The model's ``elapsed_s`` is the stage's wall time.
     """
     _, pso_seed = _derived_seeds(config.seed)
-    fallback = not np.any(weights > 0)
-    if fallback:
-        weights = np.ones(data.n_attributes)
+    start = time.perf_counter()
+    weights, fallback = _with_fallback(weights, data.n_attributes)
     model = self_adaptive_pso_kmeans(
         data.values, weights, replace(config.pso, seed=pso_seed), config.adapt
     )
+    model.elapsed_s = time.perf_counter() - start
     return model, fallback
 
 
-def fast_scan(data, oracle, config: ScanConfig = ScanConfig()) -> ScanReport:
+def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
+              cached_model: ClusterModel | None = None) -> ScanReport:
     """Feature selection, clustering, and centroid-only oracle evaluation.
 
     Oracle evaluations are exactly training_size + k_final (selection
     results are cached per hour; nothing else touches the oracle).  A
     non-converged feature selection proceeds with its latest weights and
     is flagged in the report.
+
+    A ``cached_model`` (a clustering of this dataset under this config)
+    replaces the clustering stage; feature selection still runs, and the
+    model's weights must equal the ones it yields, bit for bit, else
+    ``ValueError``.  ``timing["clustering_s"]`` is the model's
+    ``elapsed_s``, the time its clustering took when it was made.
     """
     count_before = getattr(oracle, "eval_count", None)
 
@@ -196,9 +210,13 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig()) -> ScanReport:
     freport = select_stage(data, oracle, config, cache=cache)
     t_select = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    model, fallback = cluster_stage(data, freport.distance_weights(), config)
-    t_cluster = time.perf_counter() - t1
+    if cached_model is None:
+        model, fallback = cluster_stage(data, freport.distance_weights(), config)
+    else:
+        weights, fallback = _with_fallback(freport.distance_weights(), data.n_attributes)
+        if np.asarray(cached_model.weights, dtype=float).tobytes() != weights.tobytes():
+            raise ValueError("cached_model was clustered with other distance weights")
+        model = cached_model
 
     t2 = time.perf_counter()
     centroid_lam, _ = evaluate_many(oracle, model.centroids)
@@ -227,7 +245,7 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig()) -> ScanReport:
         weights_fallback_uniform=fallback,
         timing={
             "feature_selection_s": t_select,
-            "clustering_s": t_cluster,
+            "clustering_s": model.elapsed_s,
             "centroid_eval_s": t_centroid,
         },
     )
@@ -384,15 +402,21 @@ def worst_case_analysis(trace: StabilityTrace, demand) -> WorstCaseReport:
 
 
 def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
-                         cached_full: StabilityTrace | None = None) -> ScanReport:
+                         cached_full: StabilityTrace | None = None,
+                         cached_model: ClusterModel | None = None) -> ScanReport:
     """Run both paths and report the wall-clock speed-up.
 
     speed-up = full_scan_s / (feature_selection_s + clustering_s +
     centroid_eval_s).  A cached full-scan trace (with its recorded elapsed
-    time) can substitute for re-running the exhaustive sweep.
+    time) can substitute for re-running the exhaustive sweep; of a partial
+    one only the failed hours are evaluated again.  ``cached_model`` is
+    passed to :func:`fast_scan`.
     """
-    report = fast_scan(data, oracle, config)
-    trace = cached_full if cached_full is not None else full_scan(data, oracle)
+    report = fast_scan(data, oracle, config, cached_model=cached_model)
+    if cached_full is None or cached_full.partial:
+        trace = full_scan(data, oracle, resume=cached_full)
+    else:
+        trace = cached_full
     fast_total = (
         report.timing["feature_selection_s"]
         + report.timing["clustering_s"]

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The expensive fixtures (default year, default fast scan) are shared
-with the rest of the suite.
+with the rest of the suite.  Criteria 4, 6 and 7 take minutes and are
+marked ``slow``; ``pytest -m "not slow"`` leaves them out.
 """
 
 import itertools
@@ -166,6 +167,7 @@ def test_criterion_3_feature_recovery_over_100_seeds():
 # ── criterion 4: PSO-k-means dominance at fixed k ────────────────────────
 
 
+@pytest.mark.slow
 def test_criterion_4_pso_kmeans_dominance(year, year_weights):
     start = time.perf_counter()
     X = year.values
@@ -205,6 +207,7 @@ def test_criterion_5_cluster_count_reduction(year, default_scan):
 # ── criterion 6: accuracy ────────────────────────────────────────────────
 
 
+@pytest.mark.slow
 def test_criterion_6_accuracy_and_error_dominance(year, year_oracle, year_weights,
                                                   default_scan):
     assert default_scan.mape <= 0.05
@@ -242,6 +245,7 @@ def test_criterion_6_accuracy_and_error_dominance(year, year_oracle, year_weight
 # ── criterion 7: speed-up with injected oracle cost ──────────────────────
 
 
+@pytest.mark.slow
 def test_criterion_7_speedup_with_injected_cost(year):
     informative = year.metadata["informative_indices"]
     oracle = gs.DampingSurrogate.from_seed(informative, seed=101, delay_ms=50.0)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gridscan import cli
+from gridscan import cli, scanning
 from gridscan.cli import main
 from gridscan.oracles import DampingSurrogate
 
@@ -120,6 +120,17 @@ def test_cluster_reuses_feature_report(tmp_path, config_path, monkeypatch):
     assert len(lines) == 301
 
 
+def test_cluster_ignores_a_feature_report_selected_under_another_key(tmp_path, config_path):
+    # select at the test config, then cluster under other seeds: the report
+    # does not belong to that run, so cluster selects again
+    other = ["--set", "scan.seed=1", "--set", "oracle.seed=3"]
+    out, fast = tmp_path / "out", tmp_path / "fast"
+    assert main(["select", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["cluster", "--config", config_path, "--out", str(out)] + other) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(fast)] + other) == 0
+    assert sha(out / "cluster_model.json") == sha(fast / "cluster_model.json")
+
+
 def test_staged_select_cluster_match_fastscan(tmp_path, config_path):
     staged, fast = tmp_path / "staged", tmp_path / "fast"
     assert main(["select", "--config", config_path, "--out", str(staged)]) == 0
@@ -151,6 +162,78 @@ def test_fastscan_artifacts_and_manifest_reproducibility(tmp_path, config_path):
 
     report = json.loads((out_a / "scan_report.json").read_text())
     assert report["oracle_evaluations"] == report["training_size"] + report["k_final"]
+
+
+def _manifest_files(out):
+    names = list(json.loads((out / "run_manifest.json").read_text())["artifacts"])
+    return {name: (out / name).read_bytes() for name in names + ["run_manifest.json"]}
+
+
+def test_staged_run_clusters_once_and_matches_fresh_runs(tmp_path, config_path, capsys,
+                                                         monkeypatch):
+    fresh = {}
+    for command in ("fastscan", "compare"):
+        assert main([command, "--config", config_path, "--out", str(tmp_path / command)]) == 0
+        fresh[command] = _manifest_files(tmp_path / command)
+    out = tmp_path / "out"
+    for command in ("select", "cluster"):
+        assert main([command, "--config", config_path, "--out", str(out)]) == 0
+    recorded = json.loads((out / "cluster_model.meta.json").read_text())["clustering_s"]
+
+    def recluster(*args, **kwargs):
+        pytest.fail("clustered again")
+
+    monkeypatch.setattr(scanning, "cluster_stage", recluster)
+    monkeypatch.setattr(cli, "cluster_stage", recluster)
+    capsys.readouterr()
+    for command in ("fastscan", "compare"):
+        assert main([command, "--config", config_path, "--out", str(out)]) == 0
+        assert "clustering=reused" in capsys.readouterr().out
+        assert _manifest_files(out) == fresh[command], command
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["clustering_reused"] is True
+        assert timing["timing"]["clustering_s"] == recorded
+    # rewriting the reused model keeps its recorded seconds
+    assert json.loads((out / "cluster_model.meta.json").read_text())["clustering_s"] == recorded
+
+
+@pytest.mark.parametrize("override", [
+    "dataset.synthetic.seed=6", "oracle.seed=3", "scan.seed=1", "scan.pso.n_iter=5",
+    "scan.adapt.max_outer=30",
+])
+def test_a_changed_key_component_reclusters(tmp_path, config_path, capsys, override):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["fastscan", "--config", config_path, "--out", str(out), "--set", override]) == 0
+    assert "clustering=computed" in capsys.readouterr().out
+    assert json.loads((out / "timing.json").read_text())["clustering_reused"] is False
+    assert main(["fastscan", "--config", config_path, "--out", str(fresh), "--set", override]) == 0
+    assert _manifest_files(out) == _manifest_files(fresh)
+
+
+def test_another_program_version_reclusters(tmp_path, config_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    assert "clustering=reused" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    assert "clustering=computed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damaged", ["cluster_model.json", "cluster_model.meta.json"])
+@pytest.mark.parametrize("content", ["{not json", "[]", '{"k": 1}'])
+def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, damaged,
+                                                content):
+    out = tmp_path / "out"
+    assert main(["cluster", "--config", config_path, "--out", str(out)]) == 0
+    model = (out / "cluster_model.json").read_bytes()
+    (out / damaged).write_text(content)
+    capsys.readouterr()
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    assert "clustering=computed" in capsys.readouterr().out
+    assert (out / "cluster_model.json").read_bytes() == model
 
 
 def test_fullscan_then_compare_reuses_cached_trace(tmp_path, config_path, capsys):
@@ -203,6 +286,29 @@ def test_compare_then_worstcase_on_a_partial_full_scan(tmp_path, config_path, mo
     assert main(["worstcase", "--config", config_path, "--out", str(out)]) == 0
     payload = json.loads((out / "worst_case.json").read_text())
     assert payload["excluded_hours"] == [3, 77]
+
+
+def test_second_compare_evaluates_only_the_failed_hours(tmp_path, config_path, monkeypatch):
+    build, built = cli.build_oracle, []
+
+    def failing(config, data):
+        built.append(_FailingSurrogate(build(config, data), data.values[[3, 77]]))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_oracle", failing)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
+    first = json.loads((out / "full_trace.meta.json").read_text())
+    trace = (out / "full_trace.csv").read_bytes()
+    assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
+    report = json.loads((out / "scan_report.json").read_text())
+    # selection and centroid calls are oracle_evaluations; the rest is the full scan
+    assert built[-1].eval_count - report["oracle_evaluations"] == 2
+    meta = json.loads((out / "full_trace.meta.json").read_text())
+    assert meta["partial"] is True
+    assert (out / "full_trace.csv").read_bytes() == trace
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["timing"]["full_scan_s"] == meta["elapsed_s"] > first["elapsed_s"]
 
 
 def test_worstcase_from_full_trace(tmp_path, config_path):

@@ -210,6 +210,23 @@ def test_partial_trace_csv_roundtrip(tmp_path, rng):
     assert back.partial
 
 
+def test_full_scan_resume_evaluates_only_failed_hours(rng):
+    data = gs.normalize(rng.uniform(0, 1, size=(8, 2)), ["a", "b"])
+    kept = [0, 2, 3, 4, 6, 7]
+    partial = gs.full_scan(data, TabulatedOracle(data.values[kept], np.arange(6.0)))
+    partial.elapsed_s = 5.0
+    # this table still lacks row 5, so one hour stays failed
+    oracle = TabulatedOracle(data.values[:5], np.arange(10.0, 15.0))
+    resumed = gs.full_scan(data, oracle, resume=partial)
+    assert oracle.eval_count == 2
+    assert resumed.failed_hours == (5,)
+    assert resumed.lam[1] == 11.0
+    assert np.array_equal(resumed.lam[kept], partial.lam[kept])
+    assert resumed.elapsed_s > 5.0
+    with pytest.raises(ValueError, match="other hours"):
+        gs.full_scan(gs.normalize(data.values[:4], ["a", "b"]), oracle, resume=partial)
+
+
 def test_evaluate_many_threaded_matches_sequential(rng, monkeypatch):
     oracle = gs.DampingSurrogate.from_seed([0, 1], seed=2)
     pts = rng.uniform(-1, 1, size=(40, 3))

@@ -88,6 +88,36 @@ def test_fast_scan_flags_unconverged_selection():
     assert report.k_final >= 1  # proceeded with the latest weights
 
 
+def test_fast_scan_reuses_a_cached_model(tmp_path):
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    fresh = gs.fast_scan(data, oracle, small_config())
+    model = gs.ClusterModel.load_json(fresh.model.save_json(tmp_path / "m.json"))
+    model.elapsed_s = 12.5
+    count = oracle.eval_count
+    reused = gs.fast_scan(data, oracle, small_config(), cached_model=model)
+    assert reused.model is model
+    assert np.array_equal(reused.lambda_hat, fresh.lambda_hat)
+    assert np.array_equal(reused.assignment, fresh.assignment)
+    # selection still runs, so the oracle accounting is the fresh run's
+    assert oracle.eval_count - count == reused.oracle_evaluations == fresh.oracle_evaluations
+    assert reused.training_lambdas == fresh.training_lambdas
+    assert reused.timing["clustering_s"] == 12.5
+    compared = gs.compare_full_vs_fast(data, oracle, small_config(), cached_model=model)
+    assert compared.timing["clustering_s"] == 12.5
+
+
+def test_fast_scan_rejects_a_model_clustered_with_other_weights():
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    model = gs.fast_scan(data, oracle, small_config()).model
+    model.weights = model.weights.copy()
+    i = int(np.argmax(model.weights))
+    model.weights[i] = np.nextafter(model.weights[i], np.inf)  # one ulp off
+    with pytest.raises(ValueError, match="other distance weights"):
+        gs.fast_scan(data, oracle, small_config(), cached_model=model)
+
+
 def test_fast_scan_deterministic_given_seed():
     data = small_year()
     oracle_a = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
