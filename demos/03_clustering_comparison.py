@@ -17,7 +17,7 @@ oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], see
 weights = gs.select_features(data, oracle, seed=0).distance_weights()
 X = data.values
 
-model = gs.self_adaptive_pso_kmeans(X, weights, gs.PsoParams(seed=0), gs.AdaptiveParams())
+model = gs.self_adaptive_pso_kmeans(X, weights, gs.PsoParams(), gs.AdaptiveParams(), seed=0)
 print(f"self-adaptive PSO-k-means: k={model.k} smse={model.smse:.4f}")
 print(f"  split tolerance resolved to eps_d={model.eps_d:.4f} (eps_c={model.eps_c:.4f})")
 print(f"  seeded stage started at smse={model.smse_history[0]:.4f}")

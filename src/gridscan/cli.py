@@ -74,8 +74,6 @@ _SCHEMA = {
     "scan": _schema(ScanConfig),
     "worstcase": {"trace": None},
 }
-# Every scan seed is derived from scan.seed, so no subcommand reads this one.
-del _SCHEMA["scan"]["pso"]["seed"]
 
 
 def _check_keys(node, schema, path=""):
@@ -362,6 +360,14 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
             "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
+def _validate(report, data, oracle, scan: ScanConfig):
+    """``validate`` on ``scan.sample_size`` hours, capped at the hours with a
+    known index (all of them, or the finite ones of a partial full scan)."""
+    full = report.lambda_full
+    known = data.n_points if full is None else int(np.isfinite(full).sum())
+    return validate(report, data, oracle, min(scan.sample_size, known), seed=scan.seed)
+
+
 def _clustering_flag(model) -> str:
     return "clustering=" + ("computed" if model is None else "reused")
 
@@ -371,7 +377,7 @@ def cmd_fastscan(args, out: Path, config: dict) -> int:
     key = _cache_key(data, oracle, scan)
     model = _cached_model(out, key)
     report = fast_scan(data, oracle, scan, cached_model=model)
-    report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
+    report = _validate(report, data, oracle, scan)
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     write_manifest(out, "fastscan", config, artifacts)
     print(
@@ -396,7 +402,7 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     key = _cache_key(data, oracle, scan)
     cached, model = _cached_full_trace(out, data, oracle), _cached_model(out, key)
     report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
-    report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
+    report = _validate(report, data, oracle, scan)
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     # A partial cached trace had its failed hours evaluated again.
     if cached is None or cached.partial:

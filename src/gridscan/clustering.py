@@ -50,14 +50,6 @@ def weighted_distance(x, y, w) -> float:
     return float(np.sqrt(np.sum(w * (x - y) ** 2)))
 
 
-def centroid_of(points) -> np.ndarray:
-    """Arithmetic mean per dimension of a non-empty point list."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("cannot take the centroid of an empty point list")
-    return pts.mean(axis=0)
-
-
 class _WeightedSpace:
     """Dataset scaled by sqrt(weights) so distances reduce to Euclidean.
 
@@ -111,8 +103,7 @@ class _WeightedSpace:
         return labels, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def exact_point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        diff = self.X - centroids[labels]
-        return np.sqrt(np.einsum("ij,j,ij->i", diff, self.w, diff))
+        return _member_dists(self.X, centroids, labels, self.w)
 
     def fitness(self, centroids: np.ndarray) -> float:
         """Empty-cluster-safe SMSE of the partition induced by ``centroids``.
@@ -121,6 +112,12 @@ class _WeightedSpace:
         """
         labels, dists = self.assign(centroids)
         return _mean_cluster_distance(labels, dists, centroids.shape[0])
+
+
+def _member_dists(X, centroids, labels, w) -> np.ndarray:
+    """Weighted distance of each point to its assigned centroid, term by term."""
+    diff = X - centroids[labels]
+    return np.sqrt(np.einsum("ij,j,ij->i", diff, w, diff))
 
 
 def _mean_cluster_distance(labels, dists, k: int) -> float:
@@ -203,17 +200,14 @@ def smse(model: ClusterModel, X) -> float:
 
     Raises on empty clusters; repair (or drop) them first.
     """
-    X = np.asarray(X, dtype=float)
     labels = np.asarray(model.assignment)
     k = model.centroids.shape[0]
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        empty = np.flatnonzero(counts == 0)
+    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+    if len(empty):
         raise ValueError(f"empty cluster(s) {empty.tolist()}: repair before computing SMSE")
-    diff = X - model.centroids[labels]
-    dists = np.sqrt(np.einsum("ij,j,ij->i", diff, np.asarray(model.weights, float), diff))
-    sums = np.bincount(labels, weights=dists, minlength=k)
-    return float(np.mean(sums / counts))
+    dists = _member_dists(np.asarray(X, dtype=float), model.centroids, labels,
+                          np.asarray(model.weights, dtype=float))
+    return _mean_cluster_distance(labels, dists, k)
 
 
 def _cluster_means(X: np.ndarray, labels: np.ndarray, old_centroids: np.ndarray) -> np.ndarray:
@@ -315,7 +309,6 @@ class PsoParams:
     w_min: float = 0.4
     sigma_t2: float = 1e-3
     p0: float = 0.3
-    seed: int = 0
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -331,17 +324,19 @@ class PsoParams:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray           # (k, n_attributes) centroid set
+class Swarm:
+    """The particles as arrays stacked over the swarm: row p is particle p.
+
+    ``position``, ``velocity`` and ``best_position`` are (P, k, d) centroid
+    sets, ``fitness`` and ``best_fitness`` are (P,).  ``g_best_position``
+    is a copy, never a view of a ``best_position`` row.
+    """
+
+    position: np.ndarray
     velocity: np.ndarray
     best_position: np.ndarray
-    best_fitness: float
-    fitness: float
-
-
-@dataclass
-class Swarm:
-    particles: list[Particle]
+    fitness: np.ndarray
+    best_fitness: np.ndarray
     g_best_position: np.ndarray
     g_best_fitness: float
 
@@ -353,10 +348,12 @@ def inertia_weight(iter_index: int, params: PsoParams) -> float:
 def velocity_position_update(
     position, velocity, p_best, g_best, inertia, c1, c2, rand1, rand2, lo, hi
 ):
-    """One particle's velocity and position update, clamped to the box.
+    """Velocity and position update, clamped to the box.
 
-    ``rand1``/``rand2`` are scalars in [0, 1], drawn fresh per particle
-    per update.  The position repair is a coordinate-wise clamp of each
+    Works on one particle's (k, d) arrays with scalar ``rand1``/``rand2``,
+    or on the whole swarm's (P, k, d) arrays with (P, 1, 1) arrays of them;
+    either way they lie in [0, 1] and are drawn fresh per particle per
+    update.  The position repair is a coordinate-wise clamp of each
     centroid to the data bounding box.
     """
     new_v = (
@@ -369,48 +366,49 @@ def velocity_position_update(
 
 
 def init_swarm(space: _WeightedSpace, k: int, params: PsoParams, rng: np.random.Generator) -> Swarm:
-    """Particles seeded at random distinct data points, small random velocity."""
+    """Particles seeded at random distinct data points, small random velocity;
+    each particle draws its centroids, then its velocity, before the next one."""
     span = space.hi - space.lo
-    particles = []
+    position, velocity = [], []
     for _ in range(params.swarm_size):
-        position = init_centroids_random(space.X, k, rng)
-        velocity = rng.uniform(-0.1, 0.1, size=position.shape) * span
-        fitness = space.fitness(position)
-        particles.append(
-            Particle(
-                position=position,
-                velocity=velocity,
-                best_position=position.copy(),
-                best_fitness=fitness,
-                fitness=fitness,
-            )
-        )
-    best = min(particles, key=lambda p: p.best_fitness)
+        position.append(init_centroids_random(space.X, k, rng))
+        velocity.append(rng.uniform(-0.1, 0.1, size=position[-1].shape) * span)
+    position = np.stack(position)
+    fitness = np.array([space.fitness(p) for p in position])
+    best = int(np.argmin(fitness))
     return Swarm(
-        particles=particles,
-        g_best_position=best.best_position.copy(),
-        g_best_fitness=best.best_fitness,
+        position=position,
+        velocity=np.stack(velocity),
+        best_position=position.copy(),
+        fitness=fitness,
+        best_fitness=fitness.copy(),
+        g_best_position=position[best].copy(),
+        g_best_fitness=float(fitness[best]),
     )
 
 
 def pso_step(swarm: Swarm, space: _WeightedSpace, params: PsoParams, iter_index: int,
              rng: np.random.Generator) -> Swarm:
-    """One swarm iteration: move every particle, then reduce the global best."""
+    """One swarm iteration: move every particle, then reduce the global best.
+
+    Each particle moves toward the global best of the start of the step.
+    Row p of the (P, 2) draw is particle p's ``rand1, rand2``, the stream
+    of P ``size=2`` draws; a tie for the global best goes to the lowest index.
+    """
     inertia = inertia_weight(iter_index, params)
-    for p in swarm.particles:
-        rand1, rand2 = rng.uniform(size=2)
-        p.position, p.velocity = velocity_position_update(
-            p.position, p.velocity, p.best_position, swarm.g_best_position,
-            inertia, params.c1, params.c2, rand1, rand2, space.lo, space.hi,
-        )
-        p.fitness = space.fitness(p.position)
-        if p.fitness < p.best_fitness:
-            p.best_fitness = p.fitness
-            p.best_position = p.position.copy()
-    best = min(swarm.particles, key=lambda p: p.best_fitness)
-    if best.best_fitness < swarm.g_best_fitness:
-        swarm.g_best_fitness = best.best_fitness
-        swarm.g_best_position = best.best_position.copy()
+    rand = rng.uniform(size=(len(swarm.fitness), 2))[:, :, None, None]
+    swarm.position, swarm.velocity = velocity_position_update(
+        swarm.position, swarm.velocity, swarm.best_position, swarm.g_best_position,
+        inertia, params.c1, params.c2, rand[:, 0], rand[:, 1], space.lo, space.hi,
+    )
+    swarm.fitness = np.array([space.fitness(p) for p in swarm.position])
+    improved = swarm.fitness < swarm.best_fitness
+    swarm.best_fitness[improved] = swarm.fitness[improved]
+    swarm.best_position[improved] = swarm.position[improved]
+    best = int(np.argmin(swarm.best_fitness))
+    if swarm.best_fitness[best] < swarm.g_best_fitness:
+        swarm.g_best_fitness = float(swarm.best_fitness[best])
+        swarm.g_best_position = swarm.best_position[best].copy()
     return swarm
 
 
@@ -434,7 +432,7 @@ def mutation_check(swarm: Swarm, space: _WeightedSpace, params: PsoParams,
 
     Returns (mutation probability, whether the mutant was adopted).
     """
-    sigma_f2 = swarm_fitness_variance([p.fitness for p in swarm.particles])
+    sigma_f2 = swarm_fitness_variance(swarm.fitness)
     p_m = params.p0 if sigma_f2 < params.sigma_t2 else 0.0
     if p_m <= rng.uniform():
         return p_m, False
@@ -495,7 +493,7 @@ def _drop_empty(centroids, labels):
     return centroids[keep], remap[labels]
 
 
-def _merge_close(centroids, labels, eps_c, sqrt_w=None):
+def _merge_close(centroids, labels, eps_c, sqrt_w):
     """Merge centroid pairs closer than eps_c (weighted metric), nearest
     pair first.
 
@@ -503,8 +501,6 @@ def _merge_close(centroids, labels, eps_c, sqrt_w=None):
     and member counts are recomputed before looking for the next pair.
     """
     centroids = centroids.copy()
-    if sqrt_w is None:
-        sqrt_w = np.ones(centroids.shape[1])
     counts = np.bincount(labels, minlength=centroids.shape[0]).astype(float)
     merged = False
     while centroids.shape[0] > 1:
@@ -532,12 +528,14 @@ def self_adaptive_pso_kmeans(
     w,
     pso: PsoParams = PsoParams(),
     adapt: AdaptiveParams = AdaptiveParams(),
+    seed: int = 0,
 ) -> ClusterModel:
     """Two-stage clustering with a data-driven cluster count.
 
     Stage 1 runs the swarm over centroid sets of size ``k_init`` (particles
     start at random distinct data points) with the premature-convergence
-    mutation active.  Stage 2 seeds Lloyd iterations with the global best
+    mutation active; ``seed`` seeds its generator, the only randomness in
+    the clustering.  Stage 2 seeds Lloyd iterations with the global best
     and then alternates k-means with structural repairs: empty clusters
     are removed, the farthest point beyond ``eps_d`` from its centroid
     spawns a new cluster (one per outer pass), and centroid pairs within
@@ -553,7 +551,7 @@ def self_adaptive_pso_kmeans(
     if k_init > n:
         raise ValueError(f"k_init={k_init} exceeds the number of points {n}")
 
-    rng = np.random.default_rng(pso.seed)
+    rng = np.random.default_rng(seed)
     swarm = init_swarm(space, k_init, params=pso, rng=rng)
     for it in range(pso.n_iter):
         pso_step(swarm, space, pso, it, rng)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -352,15 +352,7 @@ def generate_synthetic_year(cfg: SyntheticYearConfig) -> OperatingPointSet:
     meta = {
         "informative_indices": list(range(cfg.n_informative)),
         "informative_names": names[: cfg.n_informative],
-        "config": {
-            "n_hours": cfg.n_hours,
-            "n_attributes": cfg.n_attributes,
-            "seed": cfg.seed,
-            "seasonal_amplitude": cfg.seasonal_amplitude,
-            "diurnal_amplitude": cfg.diurnal_amplitude,
-            "noise_sigma": cfg.noise_sigma,
-            "n_informative": cfg.n_informative,
-        },
+        "config": asdict(cfg),
     }
     return OperatingPointSet(
         attributes=ops.attributes,

@@ -29,8 +29,7 @@ class ScanConfig:
     """Everything a scan needs besides the dataset and the oracle.
 
     ``seed`` drives all sampling in the scan (feature-selection growth,
-    swarm initialization, validation draws); the seed inside ``pso`` is
-    overridden by a stream derived from it.
+    swarm initialization, validation draws).
     """
 
     relief: ReliefParams = ReliefParams()
@@ -181,9 +180,8 @@ def cluster_stage(data, weights, config: ScanConfig = ScanConfig()) -> tuple[Clu
     _, pso_seed = _derived_seeds(config.seed)
     start = time.perf_counter()
     weights, fallback = _with_fallback(weights, data.n_attributes)
-    model = self_adaptive_pso_kmeans(
-        data.values, weights, replace(config.pso, seed=pso_seed), config.adapt
-    )
+    model = self_adaptive_pso_kmeans(data.values, weights, config.pso, config.adapt,
+                                     seed=pso_seed)
     model.elapsed_s = time.perf_counter() - start
     return model, fallback
 

@@ -177,7 +177,7 @@ def test_criterion_4_pso_kmeans_dominance(year, year_weights):
 
     adaptive_final, plain_final, first_wins = [], [], 0
     for seed in range(20):
-        model = gs.self_adaptive_pso_kmeans(X, year_weights, PsoParams(seed=seed), quiet)
+        model = gs.self_adaptive_pso_kmeans(X, year_weights, PsoParams(), quiet, seed=seed)
         plain = kmeans(
             X, init_centroids_random(X, k, np.random.default_rng(seed + 1000)), year_weights
         )
@@ -219,7 +219,7 @@ def test_criterion_6_accuracy_and_error_dominance(year, year_oracle, year_weight
     wins = 0
     for seed in range(20):
         model = gs.self_adaptive_pso_kmeans(
-            X, year_weights, PsoParams(seed=seed), AdaptiveParams()
+            X, year_weights, PsoParams(), AdaptiveParams(), seed=seed
         )
         plain = kmeans(
             X, init_centroids_random(X, k, np.random.default_rng(seed + 1000)), year_weights
@@ -320,7 +320,7 @@ def test_criterion_9_invariant_suites(year, year_weights):
     from gridscan.clustering import init_swarm, mutation_check, pso_step
 
     space = _WeightedSpace(year.values[:1000], year_weights)
-    params = PsoParams(swarm_size=8, n_iter=12, seed=4)
+    params = PsoParams(swarm_size=8, n_iter=12)
     swarm_rng = np.random.default_rng(4)
     swarm = init_swarm(space, 12, params, swarm_rng)
     best = swarm.g_best_fitness
@@ -333,7 +333,7 @@ def test_criterion_9_invariant_suites(year, year_weights):
     # assignment-argmin audit and split/merge postconditions on a final model
     sub = year.values[:2000]
     final = gs.self_adaptive_pso_kmeans(
-        sub, year_weights, PsoParams(swarm_size=8, n_iter=10, seed=7), AdaptiveParams()
+        sub, year_weights, PsoParams(swarm_size=8, n_iter=10), AdaptiveParams(), seed=7
     )
     assert final.converged and not final.empty_clusters
     sub_space = _WeightedSpace(sub, year_weights)

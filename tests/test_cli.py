@@ -311,6 +311,23 @@ def test_second_compare_evaluates_only_the_failed_hours(tmp_path, config_path, m
     assert timing["timing"]["full_scan_s"] == meta["elapsed_s"] > first["elapsed_s"]
 
 
+def test_compare_caps_the_sample_at_the_hours_the_full_scan_resolved(tmp_path, config_path,
+                                                                    monkeypatch):
+    # 500 hours asked for, 300 in the year, 298 with a known index
+    build = cli.build_oracle
+    monkeypatch.setattr(
+        cli, "build_oracle",
+        lambda config, data: _FailingSurrogate(build(config, data), data.values[[3, 77]]),
+    )
+    out = tmp_path / "out"
+    code = main(["compare", "--config", config_path, "--out", str(out),
+                 "--set", "scan.sample_size=500"])
+    assert code == 0
+    report = json.loads((out / "scan_report.json").read_text())
+    assert report["validation_excluded"] == 2
+    assert len(report["validation"]) == 298
+
+
 def test_worstcase_from_full_trace(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0

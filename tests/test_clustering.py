@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,10 @@ from hypothesis import strategies as st
 import gridscan as gs
 from gridscan.clustering import (
     AdaptiveParams,
-    Particle,
     PsoParams,
     Swarm,
     _cluster_means,
     _WeightedSpace,
-    centroid_of,
     default_k_init,
     inertia_weight,
     init_centroids_random,
@@ -94,14 +94,6 @@ def test_weighted_distance_metric_axioms(xs, ys, zs, ws):
     assert dxy >= 0
     assert abs(dxy - weighted_distance(y, x, w)) < 1e-9
     assert dxy <= weighted_distance(x, z, w) + weighted_distance(z, y, w) + 1e-9
-
-
-def test_centroid_of_examples():
-    assert centroid_of([[1.0, 2.0]]).tolist() == [1.0, 2.0]
-    assert centroid_of([[0.0, 0.0], [2.0, 2.0]]).tolist() == [1.0, 1.0]
-    assert centroid_of([[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]).tolist() == [0.0, 0.0]
-    with pytest.raises(ValueError):
-        centroid_of([])
 
 
 def test_validate_weights():
@@ -397,6 +389,75 @@ def test_pso_gbest_monotone(year, year_weights):
         best = swarm.g_best_fitness
 
 
+def _per_particle_pso_step(particles, g_best, space, params, iter_index, rng):
+    """Reference: the swarm step one particle at a time, each drawing its own
+    ``rand1, rand2`` and updating its personal best before the next moves."""
+    inertia = inertia_weight(iter_index, params)
+    for p in particles:
+        rand1, rand2 = rng.uniform(size=2)
+        p.position, p.velocity = velocity_position_update(
+            p.position, p.velocity, p.best_position, g_best.position,
+            inertia, params.c1, params.c2, rand1, rand2, space.lo, space.hi,
+        )
+        p.fitness = space.fitness(p.position)
+        if p.fitness < p.best_fitness:
+            p.best_fitness = p.fitness
+            p.best_position = p.position.copy()
+    best = min(particles, key=lambda p: p.best_fitness)
+    if best.best_fitness < g_best.fitness:
+        g_best.fitness = best.best_fitness
+        g_best.position = best.best_position.copy()
+
+
+def test_pso_step_matches_per_particle_loop_bitwise(rng):
+    X = rng.uniform(-1, 1, size=(400, 5))
+    space = _WeightedSpace(X, rng.uniform(0.1, 2.0, size=5))
+    params = PsoParams(swarm_size=6, n_iter=15)
+    swarm = init_swarm(space, 8, params, np.random.default_rng(5))
+    particles = [
+        SimpleNamespace(position=swarm.position[i].copy(), velocity=swarm.velocity[i].copy(),
+                        best_position=swarm.best_position[i].copy(),
+                        best_fitness=float(swarm.best_fitness[i]), fitness=float(swarm.fitness[i]))
+        for i in range(params.swarm_size)
+    ]
+    g_best = SimpleNamespace(position=swarm.g_best_position.copy(), fitness=swarm.g_best_fitness)
+    stacked_rng, loop_rng = np.random.default_rng(11), np.random.default_rng(11)
+    g_best_updates = 0
+    for it in range(params.n_iter):
+        before = swarm.g_best_fitness
+        pso_step(swarm, space, params, it, stacked_rng)
+        _per_particle_pso_step(particles, g_best, space, params, it, loop_rng)
+        g_best_updates += swarm.g_best_fitness < before
+        for name in ("position", "velocity", "best_position", "fitness", "best_fitness"):
+            loop = np.array([getattr(p, name) for p in particles])
+            assert getattr(swarm, name).tobytes() == loop.tobytes(), (it, name)
+        assert swarm.g_best_fitness == g_best.fitness
+        assert swarm.g_best_position.tobytes() == g_best.position.tobytes()
+        assert not np.shares_memory(swarm.g_best_position, swarm.best_position)
+    assert g_best_updates >= 3
+    assert stacked_rng.uniform() == loop_rng.uniform()
+
+
+def test_init_swarm_draws_centroids_then_velocity_per_particle(rng):
+    X = rng.uniform(-1, 1, size=(300, 4))
+    space = _WeightedSpace(X, rng.uniform(0.1, 2.0, size=4))
+    params = PsoParams(swarm_size=5)
+    swarm = init_swarm(space, 7, params, np.random.default_rng(8))
+    ref = np.random.default_rng(8)
+    for i in range(params.swarm_size):
+        position = init_centroids_random(X, 7, ref)
+        velocity = ref.uniform(-0.1, 0.1, size=position.shape) * (space.hi - space.lo)
+        assert swarm.position[i].tobytes() == position.tobytes()
+        assert swarm.velocity[i].tobytes() == velocity.tobytes()
+        assert swarm.fitness[i] == space.fitness(position)
+    assert swarm.best_position.tobytes() == swarm.position.tobytes()
+    assert swarm.best_fitness.tobytes() == swarm.fitness.tobytes()
+    assert not np.shares_memory(swarm.best_position, swarm.position)
+    best = int(np.argmin(swarm.fitness))
+    assert swarm.g_best_fitness == swarm.fitness[best]
+    assert swarm.g_best_position.tobytes() == swarm.position[best].tobytes()
+
+
 def test_fitness_variance_trigger():
     assert swarm_fitness_variance([0.5, 0.5, 0.5]) == 0.0
     spread = swarm_fitness_variance([0.0, 10.0, 20.0])
@@ -404,16 +465,11 @@ def test_fitness_variance_trigger():
 
 
 def _tiny_swarm(space, positions):
-    particles = [
-        Particle(
-            position=p.copy(), velocity=np.zeros_like(p),
-            best_position=p.copy(), best_fitness=space.fitness(p),
-            fitness=space.fitness(p),
-        )
-        for p in positions
-    ]
-    best = min(particles, key=lambda q: q.best_fitness)
-    return Swarm(particles, best.best_position.copy(), best.best_fitness)
+    position = np.stack(positions)
+    fitness = np.array([space.fitness(p) for p in position])
+    best = int(np.argmin(fitness))
+    return Swarm(position, np.zeros_like(position), position.copy(), fitness, fitness.copy(),
+                 position[best].copy(), float(fitness[best]))
 
 
 class _ScriptedRng:
@@ -443,9 +499,7 @@ def test_mutation_probability_rules(rng):
 
     # spread swarm: variance above threshold -> no mutation possible
     spread = _tiny_swarm(space, [X[:3].reshape(3, 1, 2)[i] for i in range(3)])
-    spread.particles[0].fitness = 0.0
-    spread.particles[1].fitness = 10.0
-    spread.particles[2].fitness = 20.0
+    spread.fitness[:] = [0.0, 10.0, 20.0]
     p_m, mutated = mutation_check(spread, space, params, _ScriptedRng(0.0, 1.0))
     assert p_m == 0.0 and not mutated
 
@@ -481,8 +535,9 @@ def test_adaptive_identical_blobs_keep_k(rng):
     X = np.repeat(np.asarray(centers), 10, axis=0)
     model = self_adaptive_pso_kmeans(
         X, np.ones(2),
-        PsoParams(swarm_size=4, n_iter=5, seed=0),
+        PsoParams(swarm_size=4, n_iter=5),
         AdaptiveParams(k_init=3, eps_d=1.0, eps_c=0.5, max_outer=10),
+        seed=0,
     )
     assert model.k == 3
     assert model.smse == 0.0
@@ -493,8 +548,9 @@ def test_adaptive_split_separates_distant_blobs(rng):
     X = _blobs(rng, [[-5.0, 0.0], [5.0, 0.0]], 25, 0.3)
     model = self_adaptive_pso_kmeans(
         X, np.ones(2),
-        PsoParams(swarm_size=4, n_iter=5, seed=1),
+        PsoParams(swarm_size=4, n_iter=5),
         AdaptiveParams(k_init=1, eps_d=2.0, eps_c=0.2, max_outer=10),
+        seed=1,
     )
     assert model.k == 2
     assert model.converged
@@ -509,7 +565,7 @@ def test_merge_collapses_duplicate_centroids():
 
     centroids = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
     labels = np.array([0, 0, 1, 2, 2])
-    merged, did = _merge_close(centroids, labels, eps_c=0.5)
+    merged, did = _merge_close(centroids, labels, eps_c=0.5, sqrt_w=np.ones(2))
     assert did
     assert merged.shape[0] == 2
 
@@ -517,7 +573,7 @@ def test_merge_collapses_duplicate_centroids():
 def test_adaptive_postconditions(year, year_weights):
     X = year.values[:2000]
     model = self_adaptive_pso_kmeans(
-        X, year_weights, PsoParams(swarm_size=10, n_iter=20, seed=5), AdaptiveParams()
+        X, year_weights, PsoParams(swarm_size=10, n_iter=20), AdaptiveParams(), seed=5
     )
     assert model.converged
     assert not model.empty_clusters
@@ -541,8 +597,9 @@ def test_adaptive_flags_non_convergence(rng):
     X = rng.uniform(-1, 1, size=(200, 2))
     model = self_adaptive_pso_kmeans(
         X, np.ones(2),
-        PsoParams(swarm_size=4, n_iter=5, seed=2),
+        PsoParams(swarm_size=4, n_iter=5),
         AdaptiveParams(k_init=4, eps_d=1e-6, eps_c=1e-7, max_outer=3),
+        seed=2,
     )
     assert not model.converged
 
