@@ -24,8 +24,7 @@ print(f"speed-up:         {report.speedup:7.1f}x")
 
 # worst-case operating point: stability minimum vs demand peak
 demand = gs.denormalize(data)[:, data.columns_of_kind(gs.AttributeKind.LOAD_P)].sum(axis=1)
-trace = gs.StabilityTrace(hours=data.timestamps, lam=report.lambda_full, kind=oracle.kind)
-wc = gs.worst_case_analysis(trace, demand)
+wc = gs.worst_case_analysis(report.full_trace, demand)
 print()
 print(f"stability minimum at hour {wc.lambda_argmin_hour} "
       f"(lambda={wc.lambda_min:.3f})")

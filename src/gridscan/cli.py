@@ -229,15 +229,11 @@ def _demand_series(data: OperatingPointSet) -> np.ndarray:
     return raw[:, cols].sum(axis=1)
 
 
-def _oracle_config(oracle) -> dict:
-    return oracle.config() if hasattr(oracle, "config") else {"kind": oracle.kind}
-
-
 def _cache_key(data, oracle, scan: ScanConfig | None = None) -> dict:
     """What a reusable artifact was computed from: the program version, the
     dataset, the oracle and, for the scan stages, the resolved scan config."""
     key = {"version": __version__, "dataset_sha256": _dataset_hash(data),
-           "oracle": _oracle_config(oracle)}
+           "oracle": oracle.config()}
     if scan is not None:
         key["scan"] = asdict(scan)
     return json.loads(json.dumps(key))  # as it reads back from a meta file
@@ -354,6 +350,7 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
     report.save_histogram_csv(out / "ape_histogram.csv")
     _write_feature_report(out, report.feature_report, key)
     _write_model(out, report.model, data, key)
+    _write_keyed(out, "scan_report.json", key)
     timing = {"timing": report.timing, "speedup": report.speedup, "clustering_reused": reused}
     (out / "timing.json").write_text(json.dumps(timing, indent=2))
     return ["scan_report.json", "scan_trace.csv", "ape_histogram.csv", "feature_report.json",
@@ -363,8 +360,8 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
 def _validate(report, data, oracle, scan: ScanConfig):
     """``validate`` on ``scan.sample_size`` hours, capped at the hours with a
     known index (all of them, or the finite ones of a partial full scan)."""
-    full = report.lambda_full
-    known = data.n_points if full is None else int(np.isfinite(full).sum())
+    failed = () if report.full_trace is None else report.full_trace.failed_hours
+    known = data.n_points - len(failed)
     return validate(report, data, oracle, min(scan.sample_size, known), seed=scan.seed)
 
 
@@ -406,13 +403,7 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     # A partial cached trace had its failed hours evaluated again.
     if cached is None or cached.partial:
-        lam = report.lambda_full
-        trace = StabilityTrace(
-            hours=data.timestamps.copy(), lam=lam, kind=oracle.kind,
-            failed_hours=tuple(int(h) for h in data.timestamps[np.isnan(lam)]),
-            elapsed_s=report.timing["full_scan_s"],
-        )
-        _write_full_trace(out, trace, data, oracle)
+        _write_full_trace(out, report.full_trace, data, oracle)
         artifacts.append("full_trace.csv")
     write_manifest(out, "compare", config, artifacts)
     print(
@@ -423,30 +414,21 @@ def cmd_compare(args, out: Path, config: dict) -> int:
 
 
 def cmd_worstcase(args, out: Path, config: dict) -> int:
-    data = build_dataset(config)
+    data, oracle, scan = _pipeline_inputs(config)
     which = (config.get("worstcase") or {}).get("trace", "full")
     if which == "full":
-        trace_path = out / "full_trace.csv"
-        if not trace_path.exists():
-            print(f"error: {trace_path} not found; run fullscan first", file=sys.stderr)
-            return 2
-        trace = StabilityTrace.load_csv(trace_path)
+        trace, name, command = _cached_full_trace(out, data, oracle), "full_trace.csv", "fullscan"
     elif which == "fast":
-        report_path = out / "scan_report.json"
-        if not report_path.exists():
-            print(f"error: {report_path} not found; run fastscan first", file=sys.stderr)
-            return 2
-        payload = json.loads(report_path.read_text())
-        trace = StabilityTrace(
-            hours=np.array(payload["hours"]),
-            lam=np.array(payload["lambda_hat"]),
-            kind="fast",
-        )
+        trace, name, command = None, "scan_report.json", "fastscan"
+        if _read_keyed(out, name, _cache_key(data, oracle, scan)) is not None:
+            payload = json.loads((out / name).read_text())
+            trace = StabilityTrace(hours=payload["hours"], lam=payload["lambda_hat"], kind="fast")
     else:
         print(f"error: worstcase.trace must be 'full' or 'fast', got {which!r}", file=sys.stderr)
         return 2
-    if not np.array_equal(trace.hours, data.timestamps):
-        print("error: trace hours do not match the dataset", file=sys.stderr)
+    if trace is None:
+        print(f"error: no {out / name} computed from this config; run {command} first",
+              file=sys.stderr)
         return 2
     demand = _demand_series(data)
     result = worst_case_analysis(trace, demand)

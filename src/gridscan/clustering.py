@@ -185,10 +185,8 @@ class ClusterModel:
             eps_c=payload["eps_c"],
         )
 
-    def save_assignment_csv(self, path, hours=None) -> Path:
+    def save_assignment_csv(self, path, hours) -> Path:
         path = Path(path)
-        if hours is None:
-            hours = np.arange(len(self.assignment))
         lines = ["hour,cluster_id"]
         lines += [f"{int(h)},{int(c)}" for h, c in zip(hours, self.assignment)]
         path.write_text("\n".join(lines) + "\n")

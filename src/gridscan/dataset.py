@@ -259,7 +259,7 @@ def load_csv(path) -> OperatingPointSet:
     )
 
 
-def save_csv(ops: OperatingPointSet, path, sidecar: bool = True) -> Path:
+def save_csv(ops: OperatingPointSet, path) -> Path:
     """Write raw-unit values as ``hour,<attr>,...`` plus a JSON sidecar.
 
     The sidecar (``<path>.norm.json``) records per-attribute name, kind and
@@ -273,21 +273,20 @@ def save_csv(ops: OperatingPointSet, path, sidecar: bool = True) -> Path:
         writer.writerow(["hour"] + ops.attribute_names())
         for hour, row in zip(ops.timestamps, raw):
             writer.writerow([int(hour)] + [repr(float(v)) for v in row])
-    if sidecar:
-        meta = {
-            "attributes": [
-                {
-                    "name": a.name,
-                    "kind": a.kind.value,
-                    "raw_min": a.raw_min,
-                    "raw_max": a.raw_max,
-                }
-                for a in ops.attributes
-            ],
-            "metadata": ops.metadata,
-        }
-        sidecar_path = path.with_suffix(path.suffix + ".norm.json")
-        sidecar_path.write_text(json.dumps(meta, indent=2))
+    meta = {
+        "attributes": [
+            {
+                "name": a.name,
+                "kind": a.kind.value,
+                "raw_min": a.raw_min,
+                "raw_max": a.raw_max,
+            }
+            for a in ops.attributes
+        ],
+        "metadata": ops.metadata,
+    }
+    sidecar_path = path.with_suffix(path.suffix + ".norm.json")
+    sidecar_path.write_text(json.dumps(meta, indent=2))
     return path
 
 

@@ -218,12 +218,16 @@ class TabulatedOracle(StabilityOracle):
 
 @dataclass
 class StabilityTrace:
-    """Per-hour stability indices from a scan."""
+    """Per-hour stability indices from a scan.
+
+    NaN in ``lam`` is the one encoding of an hour with no index (the
+    oracle failed there); ``failed_hours`` and ``partial`` are read off
+    it.  An infinite index is rejected.
+    """
 
     hours: np.ndarray
     lam: np.ndarray
     kind: str
-    failed_hours: tuple[int, ...] = ()
     elapsed_s: float = 0.0
 
     def __post_init__(self):
@@ -231,14 +235,16 @@ class StabilityTrace:
         self.lam = np.asarray(self.lam, dtype=float)
         if len(self.hours) != len(self.lam):
             raise ValueError("hours and lambda must have equal length")
-        ok = np.setdiff1d(self.hours, np.asarray(self.failed_hours, dtype=int))
-        mask = np.isin(self.hours, ok)
-        if not np.all(np.isfinite(self.lam[mask])):
-            raise ValueError("non-finite stability index outside failed hours")
+        if np.isinf(self.lam).any():
+            raise ValueError("infinite stability index; a failed hour is NaN")
+
+    @property
+    def failed_hours(self) -> tuple[int, ...]:
+        return tuple(int(h) for h in self.hours[np.isnan(self.lam)])
 
     @property
     def partial(self) -> bool:
-        return len(self.failed_hours) > 0
+        return bool(np.isnan(self.lam).any())
 
     def save_csv(self, path) -> Path:
         path = Path(path)
@@ -260,7 +266,7 @@ class StabilityTrace:
 
     @classmethod
     def load_csv(cls, path, kind: str = "tabulated") -> "StabilityTrace":
-        """Read a :meth:`save_csv` file; its ``nan`` rows become ``failed_hours``."""
+        """Read a :meth:`save_csv` file; its ``nan`` rows are the failed hours."""
         path = Path(path)
         hours, lam = [], []
         with open(path, encoding="utf-8") as fh:
@@ -274,47 +280,47 @@ class StabilityTrace:
                 h, v = line.split(",")
                 hours.append(int(h))
                 lam.append(float(v))
-        failed = tuple(h for h, v in zip(hours, lam) if math.isnan(v))
-        return cls(hours=np.array(hours), lam=np.array(lam), kind=kind, failed_hours=failed)
+        return cls(hours=np.array(hours), lam=np.array(lam), kind=kind)
 
 
-def evaluate_many(oracle, points, catch_failures: bool = False):
+def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:
     """Evaluate the oracle at each point, optionally in worker threads.
 
     Thread count comes from GRIDSCAN_THREADS (default 1: sequential).
     Output order always matches input order.
 
-    Returns (values, failed_positions); with ``catch_failures`` a failing
-    evaluation yields NaN and its position, otherwise the exception
-    propagates.
+    This is the one place that decides an oracle call failed: the oracle
+    raised an ``Exception`` or returned a non-finite value.  With
+    ``catch_failures`` a failed call is NaN in the returned array.
+    Without it the exception propagates, and a non-finite value raises
+    ``ValueError`` naming the point's position.
     """
     points = np.asarray(points, dtype=float)
 
-    def one(point):
-        if not catch_failures:
-            return float(oracle(point)), False
+    def one(pos, point):
         try:
-            return float(oracle(point)), False
+            value = float(oracle(point))
+            if not math.isfinite(value):
+                raise ValueError(f"oracle returned {value} at point {pos}")
         except Exception:
-            return math.nan, True
+            if catch_failures:
+                return math.nan
+            raise
+        return value
 
     workers = worker_count()
     if workers <= 1 or len(points) < 2:
-        results = [one(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, points))
-    values = np.array([v for v, _ in results])
-    failed = [i for i, (_, bad) in enumerate(results) if bad]
-    return values, failed
+        return np.array([one(i, p) for i, p in enumerate(points)], dtype=float)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.array(list(pool.map(one, range(len(points)), points)), dtype=float)
 
 
 def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTrace:
     """Exhaustive baseline: one oracle evaluation per operating point.
 
-    Failures are recorded per hour (the trace is then partial) and the
-    wall-clock time for the sweep lands in ``elapsed_s``.  With ``resume``,
-    an earlier trace of the same hours, only its failed hours are
+    A failed call leaves NaN at its hour (the trace is then partial), and
+    the wall-clock time for the sweep lands in ``elapsed_s``.  With
+    ``resume``, an earlier trace of the same hours, only its NaN hours are
     evaluated; the rest keep its values, and ``elapsed_s`` is its recorded
     time plus this sweep's.
     """
@@ -323,15 +329,14 @@ def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTr
         if not np.array_equal(resume.hours, data.timestamps):
             raise ValueError("resumed trace covers other hours than the dataset")
         lam = resume.lam.copy()
-        rows = np.flatnonzero(np.isin(resume.hours, resume.failed_hours))
+        rows = np.flatnonzero(np.isnan(lam))
         elapsed = resume.elapsed_s
     start = time.perf_counter()
-    lam[rows], failed = evaluate_many(oracle, data.values[rows], catch_failures=True)
+    lam[rows] = evaluate_many(oracle, data.values[rows], catch_failures=True)
     elapsed += time.perf_counter() - start
     return StabilityTrace(
         hours=data.timestamps.copy(),
         lam=lam,
         kind=getattr(oracle, "kind", "unknown"),
-        failed_hours=tuple(int(data.timestamps[rows[i]]) for i in failed),
         elapsed_s=elapsed,
     )

@@ -299,10 +299,10 @@ def select_features(
     Each batch is one :func:`~gridscan.oracles.evaluate_many` sweep, so
     ``GRIDSCAN_THREADS`` workers serve it like every other oracle sweep.
     The sweep keeps input order, so the training set and the weights are
-    the same at any thread count.  Points where the oracle raises an
-    ``Exception`` are skipped and recorded in ``failed_hours``, in batch
-    order.  ``cache``, when given, is filled with hour -> index for every
-    successful oracle evaluation (callers reuse these instead of
+    the same at any thread count.  Points where the oracle call failed
+    (NaN from the sweep) are skipped and recorded in ``failed_hours``, in
+    batch order.  ``cache``, when given, is filled with hour -> index for
+    every successful oracle evaluation (callers reuse these instead of
     re-evaluating).
     """
     X_all = data.values
@@ -326,17 +326,12 @@ def select_features(
     while cursor < n:
         take = pick_order[cursor : cursor + params.batch]
         cursor += len(take)
-        values, bad = evaluate_many(oracle, X_all[take], catch_failures=True)
-        bad = set(bad)
-        for pos, row in enumerate(take):
-            hour = int(hours[row])
-            if pos in bad:
-                failed.append(hour)
-                continue
-            val = float(values[pos])
-            cache[hour] = val
-            train_rows.append(row)
-            train_lam.append(val)
+        values = evaluate_many(oracle, X_all[take], catch_failures=True)
+        ok = ~np.isnan(values)
+        failed += hours[take[~ok]].tolist()
+        train_rows += take[ok].tolist()
+        train_lam += values[ok].tolist()
+        cache.update(zip(hours[take[ok]].tolist(), values[ok].tolist()))
         if len(train_rows) <= params.k:
             continue
 

@@ -59,10 +59,12 @@ class ScanReport:
 
     ``lambda_hat`` is aligned with ``hours``; hours sharing a cluster id
     share the value bitwise.  ``reduction`` is 1 - k_final/|R|.  APE
-    statistics exist only after validation; ``lambda_full`` and
-    ``speedup`` only after a comparison run.  ``validation_excluded``
-    counts the hours validation left out because the full-scan trace has
-    no index there (the oracle failed).
+    statistics exist only after validation; ``full_trace`` and
+    ``speedup`` only after a comparison run.  ``full_trace`` is the
+    exhaustive scan's :class:`StabilityTrace`, run or reused, and
+    ``lambda_full`` its indices (NaN where the oracle failed).
+    ``validation_excluded`` counts the hours validation left out because
+    the full-scan trace has no index there.
     """
 
     hours: np.ndarray
@@ -84,8 +86,12 @@ class ScanReport:
     max_ape: float | None = None
     histogram: tuple[tuple[float, float, int], ...] = ()
     validation_excluded: int = 0
-    lambda_full: np.ndarray | None = None
+    full_trace: StabilityTrace | None = None
     speedup: float | None = None
+
+    @property
+    def lambda_full(self) -> np.ndarray | None:
+        return None if self.full_trace is None else self.full_trace.lam
 
     @property
     def flagged(self) -> bool:
@@ -190,8 +196,10 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
               cached_model: ClusterModel | None = None) -> ScanReport:
     """Feature selection, clustering, and centroid-only oracle evaluation.
 
-    Oracle evaluations are exactly training_size + k_final (selection
-    results are cached per hour; nothing else touches the oracle).  A
+    Oracle evaluations are training_size + len(failed_hours) + k_final:
+    one call per selection point, failed or not (successful results are
+    cached per hour), and one per centroid; nothing else touches the
+    oracle.  A failed centroid call raises ``ValueError``.  A
     non-converged feature selection proceeds with its latest weights and
     is flagged in the report.
 
@@ -201,8 +209,6 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     ``ValueError``.  ``timing["clustering_s"]`` is the model's
     ``elapsed_s``, the time its clustering took when it was made.
     """
-    count_before = getattr(oracle, "eval_count", None)
-
     t0 = time.perf_counter()
     cache: dict[int, float] = {}
     freport = select_stage(data, oracle, config, cache=cache)
@@ -217,24 +223,18 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
         model = cached_model
 
     t2 = time.perf_counter()
-    centroid_lam, _ = evaluate_many(oracle, model.centroids)
+    centroid_lam = evaluate_many(oracle, model.centroids)
     t_centroid = time.perf_counter() - t2
 
     lambda_hat = centroid_lam[model.assignment]
-    n = data.n_points
-    evaluations = (
-        getattr(oracle, "eval_count", 0) - count_before
-        if count_before is not None
-        else freport.training_size + model.k
-    )
     return ScanReport(
         hours=data.timestamps.copy(),
         lambda_hat=lambda_hat,
         assignment=model.assignment.copy(),
         k_final=model.k,
-        reduction=1.0 - model.k / n,
+        reduction=1.0 - model.k / data.n_points,
         training_size=freport.training_size,
-        oracle_evaluations=int(evaluations),
+        oracle_evaluations=freport.training_size + len(freport.failed_hours) + model.k,
         feature_report=freport,
         model=model,
         training_lambdas=dict(cache),
@@ -249,8 +249,7 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     )
 
 
-def validate(report: ScanReport, data, oracle, sample_size: int | None = None,
-             seed: int = 0) -> ScanReport:
+def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0) -> ScanReport:
     """Error statistics of the fast scan on a random hour sample.
 
     Hours consumed by feature selection are excluded from the draw (their
@@ -259,8 +258,7 @@ def validate(report: ScanReport, data, oracle, sample_size: int | None = None,
     the report carries a full-scan trace, true values come from it and no
     oracle calls are made; hours where that trace is NaN (the oracle
     failed) are left out of the draw and counted in
-    ``validation_excluded``.  ``sample_size=None`` takes every hour with a
-    known index.
+    ``validation_excluded``.
 
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
     to the absolute error and are flagged.  The histogram uses
@@ -271,8 +269,6 @@ def validate(report: ScanReport, data, oracle, sample_size: int | None = None,
     if report.lambda_full is not None:
         known = np.isfinite(report.lambda_full)
     n_known = int(known.sum())
-    if sample_size is None:
-        sample_size = n_known
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     if sample_size > n_known:
@@ -295,17 +291,11 @@ def validate(report: ScanReport, data, oracle, sample_size: int | None = None,
     if report.lambda_full is not None:
         true_vals = report.lambda_full[picked]
     else:
-        true_vals = np.empty(len(picked))
-        fresh = []
-        for slot, idx in enumerate(picked):
-            hour = int(hours[idx])
-            if hour in report.training_lambdas:
-                true_vals[slot] = report.training_lambdas[hour]
-            else:
-                fresh.append(slot)
-        if fresh:
-            values, _ = evaluate_many(oracle, data.values[picked[fresh]])
-            true_vals[fresh] = values
+        true_vals = np.array([report.training_lambdas.get(h, np.nan)
+                              for h in hours[picked].tolist()])
+        fresh = np.isnan(true_vals)
+        if fresh.any():
+            true_vals[fresh] = evaluate_many(oracle, data.values[picked[fresh]])
 
     samples = []
     for slot, idx in enumerate(picked):
@@ -395,7 +385,7 @@ def worst_case_analysis(trace: StabilityTrace, demand) -> WorstCaseReport:
         demand_max=float(demand[i_max]),
         pearson_r=r,
         shifted=i_min != i_max,
-        excluded_hours=tuple(int(h) for h in trace.hours[~known]),
+        excluded_hours=trace.failed_hours,
     )
 
 
@@ -407,8 +397,9 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
     speed-up = full_scan_s / (feature_selection_s + clustering_s +
     centroid_eval_s).  A cached full-scan trace (with its recorded elapsed
     time) can substitute for re-running the exhaustive sweep; of a partial
-    one only the failed hours are evaluated again.  ``cached_model`` is
-    passed to :func:`fast_scan`.
+    one only the failed hours are evaluated again; the report keeps the
+    trace as ``full_trace``.  ``cached_model`` is passed to
+    :func:`fast_scan`.
     """
     report = fast_scan(data, oracle, config, cached_model=cached_model)
     if cached_full is None or cached_full.partial:
@@ -424,7 +415,7 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
     timing["full_scan_s"] = trace.elapsed_s
     return replace(
         report,
-        lambda_full=trace.lam.copy(),
+        full_trace=trace,
         timing=timing,
         speedup=trace.elapsed_s / fast_total if fast_total > 0 else float("inf"),
     )

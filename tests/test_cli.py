@@ -343,6 +343,22 @@ def test_worstcase_requires_trace(tmp_path, config_path, capsys):
     assert "fullscan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trace, command", [("full", "fullscan"), ("fast", "fastscan")])
+def test_worstcase_rejects_a_trace_of_another_dataset(tmp_path, config_path, capsys, trace,
+                                                      command):
+    # same hours, other values: the trace's key, not its hours, must decide
+    out = tmp_path / "out"
+    assert main([command, "--config", config_path, "--out", str(out),
+                 "--set", "dataset.synthetic.seed=1"]) == 0
+    capsys.readouterr()
+    argv = ["worstcase", "--config", config_path, "--out", str(out),
+            "--set", f'worstcase.trace="{trace}"']
+    assert main(argv + ["--set", "dataset.synthetic.seed=2"]) == 2
+    assert command in capsys.readouterr().err
+    assert not (out / "worst_case.json").exists()
+    assert main(argv + ["--set", "dataset.synthetic.seed=1"]) == 0
+
+
 def test_select_non_convergence_exits_3(tmp_path, config_path):
     out = tmp_path / "out"
     code = main(

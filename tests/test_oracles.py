@@ -1,10 +1,17 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
 import gridscan as gs
-from gridscan.oracles import TabulatedOracle, affine_demand_map, evaluate_many, two_bus_margin
+from gridscan.oracles import (
+    StabilityOracle,
+    TabulatedOracle,
+    affine_demand_map,
+    evaluate_many,
+    two_bus_margin,
+)
 
 
 def margin_by_bisection(E, X, p0, tol=1e-9):
@@ -227,10 +234,68 @@ def test_full_scan_resume_evaluates_only_failed_hours(rng):
         gs.full_scan(gs.normalize(data.values[:4], ["a", "b"]), oracle, resume=partial)
 
 
+class _Returning(StabilityOracle):
+    """Returns a given value (NaN, +inf, -inf) instead of raising at some points."""
+
+    kind = "returning"
+
+    def __init__(self, bad_points, value):
+        super().__init__()
+        self.base = gs.DampingSurrogate.from_seed([0, 1], seed=2)
+        self.bad = {p.tobytes() for p in bad_points}
+        self.value = value
+
+    def _evaluate(self, point):
+        return self.value if point.tobytes() in self.bad else self.base._evaluate(point)
+
+
 def test_evaluate_many_threaded_matches_sequential(rng, monkeypatch):
     oracle = gs.DampingSurrogate.from_seed([0, 1], seed=2)
     pts = rng.uniform(-1, 1, size=(40, 3))
-    seq, _ = evaluate_many(oracle, pts)
-    monkeypatch.setenv("GRIDSCAN_THREADS", "4")
-    par, _ = evaluate_many(oracle, pts)
-    assert np.array_equal(seq, par)
+    seq = evaluate_many(oracle, pts)
+    for threads in ("1", "4"):
+        monkeypatch.setenv("GRIDSCAN_THREADS", threads)
+        assert np.array_equal(evaluate_many(oracle, pts), seq)
+        # a non-finite value is a failed call: NaN when caught, else ValueError
+        for value in (math.nan, math.inf, -math.inf):
+            flaky = _Returning(pts[[4, 30]], value)
+            caught = evaluate_many(flaky, pts, catch_failures=True)
+            assert np.array_equal(np.flatnonzero(np.isnan(caught)), [4, 30])
+            assert np.array_equal(np.delete(caught, [4, 30]), np.delete(seq, [4, 30]))
+            with pytest.raises(ValueError, match=f"oracle returned {value} at point 4"):
+                evaluate_many(flaky, pts)
+
+
+def test_evaluate_many_propagates_exceptions_unless_caught(rng):
+    pts = rng.uniform(-1, 1, size=(5, 2))
+    oracle = TabulatedOracle(pts[:3], np.arange(3.0))
+    with pytest.raises(KeyError):
+        evaluate_many(oracle, pts)
+    values = evaluate_many(oracle, pts, catch_failures=True)
+    assert np.array_equal(values[:3], [0.0, 1.0, 2.0]) and np.isnan(values[3:]).all()
+
+
+def test_full_scan_records_nan_returns_as_failed_hours(rng):
+    # a solver that reports failure by returning NaN, not by raising
+    data = gs.normalize(rng.uniform(0, 1, size=(8, 2)), ["a", "b"])
+    trace = gs.full_scan(data, _Returning(data.values[[2, 6]], math.nan))
+    assert trace.partial
+    assert trace.failed_hours == (2, 6)
+    assert np.isfinite(np.delete(trace.lam, [2, 6])).all()
+    inf_trace = gs.full_scan(data, _Returning(data.values[[2, 6]], math.inf))
+    assert inf_trace.failed_hours == (2, 6)
+
+
+def test_trace_failed_hours_are_its_nan_hours(tmp_path):
+    trace = gs.StabilityTrace(hours=[10, 11, 12, 13], lam=[1.0, math.nan, 2.0, math.nan], kind="t")
+    assert trace.failed_hours == (11, 13) and trace.partial
+    assert not gs.StabilityTrace(hours=[10, 11], lam=[1.0, 2.0], kind="t").partial
+    with pytest.raises(TypeError):
+        gs.StabilityTrace(hours=[10], lam=[math.nan], kind="t", failed_hours=(10,))
+    # NaN is the only failure encoding; an infinite index, built or read, is rejected
+    with pytest.raises(ValueError, match="infinite"):
+        gs.StabilityTrace(hours=[10, 11], lam=[1.0, -math.inf], kind="t")
+    path = tmp_path / "t.csv"
+    path.write_text("hour,lambda\n0,1.5\n1,inf\n")
+    with pytest.raises(ValueError, match="infinite"):
+        gs.StabilityTrace.load_csv(path)

@@ -296,6 +296,37 @@ def test_select_skips_failing_hours(year):
     assert rep.converged
 
 
+def test_select_treats_a_nan_return_like_a_raise():
+    # a solver may report failure by returning NaN instead of raising;
+    # selection must skip those hours either way, with the same outcome
+    data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=600, n_attributes=6, seed=3))
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=101)
+    bad_points = {data.values[i].tobytes() for i in range(11, 600, 83)}
+
+    class Raising(StabilityOracle):
+        def _evaluate(self, point):
+            if point.tobytes() in bad_points:
+                raise RuntimeError("solver diverged")
+            return base._evaluate(point)
+
+    class NanReturning(StabilityOracle):
+        def _evaluate(self, point):
+            return math.nan if point.tobytes() in bad_points else base._evaluate(point)
+
+    (raised, raised_cache), (nan, nan_cache) = [
+        (gs.select_features(data, oracle, seed=0, cache=cache), cache)
+        for oracle, cache in ((Raising(), {}), (NanReturning(), {}))
+    ]
+    assert raised.failed_hours
+    assert nan.failed_hours == raised.failed_hours
+    assert nan.training_size == raised.training_size < data.n_points
+    assert nan.converged == raised.converged
+    assert np.isfinite(nan.weights).all()
+    for name in ("weights", "ranks", "adjusted_weights", "adjusted_ranks", "variances"):
+        assert getattr(nan, name).tobytes() == getattr(raised, name).tobytes()
+    assert list(nan_cache.items()) == list(raised_cache.items())
+
+
 def test_select_threaded_matches_sequential(year, monkeypatch):
     # each batch is one evaluate_many sweep: two workers must give the
     # sequential run's report and cache, failures included

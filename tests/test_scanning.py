@@ -35,6 +35,41 @@ def test_fast_scan_eval_budget_is_training_plus_centroids():
     assert oracle.eval_count == report.oracle_evaluations
 
 
+def test_fast_scan_counts_failed_selection_calls_of_any_oracle():
+    # a plain function has no eval_count: failed selection calls still count
+    data = small_year()
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    bad_points = {data.values[i].tobytes() for i in range(0, data.n_points, 9)}
+    calls = []
+
+    def oracle(point):
+        calls.append(1)
+        if point.tobytes() in bad_points:
+            raise RuntimeError("solver diverged")
+        return base(point)
+
+    report = gs.fast_scan(data, oracle, small_config())
+    failed = report.feature_report.failed_hours
+    assert failed
+    assert report.oracle_evaluations == report.training_size + len(failed) + report.k_final
+    assert report.oracle_evaluations == len(calls)
+
+
+def test_fast_scan_nan_at_a_centroid_raises():
+    # the solver returns NaN off the dataset's points, so at every centroid
+    # that is no data point: no hour may inherit that NaN
+    data = small_year()
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    known = {p.tobytes() for p in data.values}
+
+    class OffDataNan(StabilityOracle):
+        def _evaluate(self, point):
+            return base._evaluate(point) if point.tobytes() in known else float("nan")
+
+    with pytest.raises(ValueError, match="oracle returned nan at point"):
+        gs.fast_scan(data, OffDataNan(), small_config())
+
+
 def test_fast_scan_lambda_hat_piecewise_constant():
     data = small_year()
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
@@ -235,6 +270,24 @@ def test_validate_skips_failed_hours_of_a_partial_full_trace():
         gs.validate(report, data, oracle, data.n_points, seed=2)
 
 
+def test_compare_keeps_its_full_trace_with_the_failed_hours():
+    data = small_year()
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    bad_hours = (5, 100, 200)
+    bad_points = {data.values[i].tobytes() for i in bad_hours}
+
+    class Flaky(StabilityOracle):
+        kind = "flaky"
+
+        def _evaluate(self, point):
+            return float("nan") if point.tobytes() in bad_points else base._evaluate(point)
+
+    report = gs.compare_full_vs_fast(data, Flaky(), small_config())
+    assert report.full_trace.failed_hours == bad_hours
+    assert report.lambda_full is report.full_trace.lam
+    assert report.timing["full_scan_s"] == report.full_trace.elapsed_s
+
+
 # ── worst case ───────────────────────────────────────────────────────────
 
 
@@ -274,7 +327,7 @@ def test_worst_case_leaves_out_failed_hours(rng):
     failed = (3, 50, 121)
     holes = lam.copy()
     holes[list(failed)] = np.nan
-    trace = gs.StabilityTrace(hours=np.arange(200), lam=holes, kind="t", failed_hours=failed)
+    trace = gs.StabilityTrace(hours=np.arange(200), lam=holes, kind="t")
     result = gs.worst_case_analysis(trace, demand)
     keep = np.setdiff1d(np.arange(200), failed)
     subset = gs.worst_case_analysis(
