@@ -7,6 +7,13 @@ the swarm stage locates a good initial set, and an adaptive second stage
 repeatedly runs Lloyd iterations while removing empty clusters, splitting
 clusters whose members stray beyond ``eps_d``, and merging centroid pairs
 closer than ``eps_c``, so the final cluster count is decided by the data.
+
+Lloyd sweeps are incremental: each recomputes only the ranking rows of the
+centroids that moved, the distances of the points that changed cluster or
+whose centroid moved, and the means of the clusters whose membership
+changed.  Every result keeps the bits of full sweeps (every mean, then one
+full ranking product per sweep); the test suite holds the incremental
+``kmeans`` to a full-sweep reference and pins the BLAS equalities it needs.
 """
 
 from __future__ import annotations
@@ -53,9 +60,11 @@ def weighted_distance(x, y, w) -> float:
 class _WeightedSpace:
     """Dataset scaled by sqrt(weights) so distances reduce to Euclidean.
 
-    ``assign`` is the fast path for swarm fitness and Lloyd sweeps: one
-    augmented GEMM ranks the centroids, and the distance is then taken
-    directly at the chosen one.  Both use only the ``active`` columns,
+    ``assign`` is the fast path for swarm fitness: one augmented GEMM
+    ranks the centroids, and the distance is then taken directly at the
+    chosen one.  ``ranking`` and ``dists_at`` give the same bits for some
+    of the centroids or some of the points, for the incremental Lloyd
+    sweeps of ``kmeans``.  All use only the ``active`` columns,
     those with a positive weight; a zero-weight column adds nothing to a
     distance, and Relief clamps negative weights to zero, so most weight
     vectors have some.  The centroid norms in the GEMM are still summed
@@ -67,6 +76,13 @@ class _WeightedSpace:
     ``lo``/``hi`` and ``exact_point_dists`` stay on all columns; the
     latter recomputes the assigned distances term by term in the unscaled
     coordinates for threshold checks and reported SMSE values.
+
+    ``Xw``, ``Xa`` and the distance scratch are Fortran-ordered, and the
+    distance bits depend on it: the ``einsum`` over an F-ordered
+    difference adds each row's terms one column at a time, left to right,
+    while over a C-ordered copy of the same rows it takes a vectorised dot
+    per row that rounds differently.  ``kmeans`` recomputes some rows'
+    distances on their own and relies on them matching ``assign``'s.
     """
 
     def __init__(self, X: np.ndarray, w: np.ndarray):
@@ -74,12 +90,20 @@ class _WeightedSpace:
         self.w = validate_weights(w, self.X.shape[1])
         self.sqrt_w = np.sqrt(self.w)
         self.active = np.flatnonzero(self.w > 0)
-        self.Xw = self.X[:, self.active] * self.sqrt_w[self.active]
-        self.Xa = np.hstack([self.Xw, np.ones((self.X.shape[0], 1))])
+        self.Xw = np.asfortranarray(self.X[:, self.active] * self.sqrt_w[self.active])
+        self.Xa = np.asfortranarray(np.hstack([self.Xw, np.ones((self.X.shape[0], 1))]))
         self._buf = np.empty((self.X.shape[0], 0))
-        self._diff = np.empty_like(self.Xw)
+        self._diff = np.empty_like(self.Xw, order="F")
         self.lo = self.X.min(axis=0)
         self.hi = self.X.max(axis=0)
+
+    def ranking_rows(self, centroids: np.ndarray):
+        """The scaled active centroids ``Cw`` and the ranking rows
+        ``[-2 Cw, |Cw|^2]``, whose product with ``Xa`` ranks the centroids."""
+        Cw = centroids * self.sqrt_w
+        norms = np.einsum("ij,ij->i", Cw, Cw)
+        Cw = Cw[:, self.active]
+        return Cw, np.hstack([-2.0 * Cw, norms[:, None]])
 
     def assign(self, centroids: np.ndarray):
         """Nearest-centroid labels (ties to the lowest index) and distances.
@@ -90,10 +114,7 @@ class _WeightedSpace:
         cancellation the norm expansion suffers near a centroid.  It is a
         fresh array; the scratch buffer is overwritten by the next call.
         """
-        Cw = centroids * self.sqrt_w
-        norms = np.einsum("ij,ij->i", Cw, Cw)
-        Cw = Cw[:, self.active]
-        Ca = np.hstack([-2.0 * Cw, norms[:, None]])
+        Cw, Ca = self.ranking_rows(centroids)
         if self._buf.shape[1] != Ca.shape[0]:
             self._buf = np.empty((self.Xa.shape[0], Ca.shape[0]))
         np.matmul(self.Xa, Ca.T, out=self._buf)
@@ -101,6 +122,31 @@ class _WeightedSpace:
         diff = np.take(Cw, labels, axis=0, out=self._diff)
         np.subtract(self.Xw, diff, out=diff)
         return labels, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    def ranking(self, Ca: np.ndarray) -> np.ndarray:
+        """``Ca @ Xa.T`` for ranking rows ``Ca``: row j ranks centroid j at
+        every point, with the bits of row j of ``assign``'s product.
+
+        A one-row product would go to GEMV, which rounds differently, so a
+        lone row is computed as two copies of itself.
+        """
+        if len(Ca) == 1:
+            return (np.vstack([Ca, Ca]) @ self.Xa.T)[:1]
+        return Ca @ self.Xa.T
+
+    def dists_at(self, Cw: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``assign``'s distances for the points ``rows`` alone, to the bit.
+
+        A one-row F-ordered difference is also C-ordered, and ``einsum``
+        sums it as a vectorised dot, as ``assign`` does only in a one-point
+        space; elsewhere a lone row is computed as two copies of itself.
+        """
+        if len(rows) == 1 and len(self.Xw) > 1:
+            return self.dists_at(Cw, labels, np.append(rows, rows))[:1]
+        diff = np.empty((len(rows), Cw.shape[1]), order="F")
+        np.take(Cw, labels[rows], axis=0, out=diff)
+        np.subtract(self.Xw[rows], diff, out=diff)
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def exact_point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return _member_dists(self.X, centroids, labels, self.w)
@@ -208,14 +254,21 @@ def smse(model: ClusterModel, X) -> float:
     return _mean_cluster_distance(labels, dists, k)
 
 
-def _cluster_means(X: np.ndarray, labels: np.ndarray, old_centroids: np.ndarray) -> np.ndarray:
+def _cluster_means(X: np.ndarray, labels: np.ndarray, old_centroids: np.ndarray,
+                   clusters: np.ndarray | None = None) -> np.ndarray:
     """Per-cluster means; a cluster with no members keeps its old centroid.
 
     One flat ``bincount`` over the bins ``label * d + attribute`` adds each
     bin's values in row order, the same order as one ``bincount`` per
-    attribute, so the sums are the same to the bit.
+    attribute, so the sums are the same to the bit.  With a boolean
+    ``clusters`` mask only those clusters are re-averaged, from their
+    members in row order, so their means have the same bits as in a full
+    pass; the others keep their old centroid.
     """
     k, d = old_centroids.shape
+    if clusters is not None:
+        rows = np.flatnonzero(clusters[labels])
+        X, labels = X[rows], labels[rows]
     counts = np.bincount(labels, minlength=k)
     bins = (labels[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(bins, weights=X.ravel(), minlength=k * d).reshape(k, d)
@@ -225,7 +278,54 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, old_centroids: np.ndarray)
     return means
 
 
-def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER) -> ClusterModel:
+_ARGMIN_BLOCK = 1024
+
+
+def _column_argmin(R: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``R[:, cols].argmin(axis=0)``, a block of columns at a time.
+
+    Block by block, the gathered columns and the transposed copy that
+    ``argmin`` along the first axis makes stay small; over all n columns
+    each would be as large as the (k, n) ranking matrix itself.
+    """
+    out = np.empty(len(cols), dtype=np.intp)
+    for start in range(0, len(cols), _ARGMIN_BLOCK):
+        block = cols[start:start + _ARGMIN_BLOCK]
+        out[start:start + _ARGMIN_BLOCK] = R[:, block].argmin(axis=0)
+    return out
+
+
+def _rerank_moved(space: _WeightedSpace, R: np.ndarray, best: np.ndarray, labels: np.ndarray,
+                  moved: np.ndarray, Ca: np.ndarray) -> np.ndarray:
+    """New labels once the centroids ``moved`` have moved to the ranking
+    rows ``Ca``; the rows of ``R`` and the ``best`` values follow in place.
+
+    A point whose own centroid stayed keeps its best unless a moved row
+    reaches it (a tie goes to the lower index, as in ``argmin``); a
+    point whose own centroid moved is ranked again over all of ``R``.
+    """
+    new_labels = labels.copy()
+    moved_rows = np.flatnonzero(moved)
+    if not len(moved_rows):
+        return new_labels
+    R_moved = space.ranking(Ca[moved_rows])
+    R[moved_rows] = R_moved
+    low = R_moved.min(axis=0)
+    own_moved = moved[labels]
+    contest = np.flatnonzero((low <= best) & ~own_moved)
+    winner = moved_rows[R_moved[:, contest].argmin(axis=0)]
+    kept = labels[contest]
+    take = (low[contest] < best[contest]) | (winner < kept)
+    new_labels[contest] = np.where(take, winner, kept)
+    best[contest] = np.where(take, low[contest], best[contest])
+    rerank = np.flatnonzero(own_moved)
+    new_labels[rerank] = _column_argmin(R, rerank)
+    best[rerank] = R[new_labels[rerank], rerank]
+    return new_labels
+
+
+def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER, *,
+           space: _WeightedSpace | None = None) -> ClusterModel:
     """Lloyd iterations under weighted distance from given initial centroids.
 
     Runs until the assignment reaches a fixed point or ``max_iter``
@@ -235,32 +335,68 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER) -> ClusterM
     assignment; one entry is appended per sweep.  ``objective_history``
     tracks the total squared weighted distance, the quantity each Lloyd
     sweep provably decreases (the unsquared SMSE can tick up slightly
-    while the squared objective descends).
+    while the squared objective descends).  ``space``, when given, is the
+    ``_WeightedSpace`` of ``X`` and ``w``, so a caller that restarts
+    k-means on one dataset builds it once.
+
+    Sweeps are incremental, and every output has the bits that a full
+    sweep (``_cluster_means`` over all points, then ``assign``) gives.
+    The ``(k, n)`` ranking matrix ``R = [-2 Cw, |Cw|^2] @ Xa.T`` is
+    ``assign``'s product transposed, bit for bit, and is kept with each
+    point's best value in it.  Per sweep:
+
+    - only the clusters whose membership changed are re-averaged;
+    - only the rows of ``R`` whose centroid moved are recomputed, as one
+      product that gives those rows of the full one;
+    - a point whose own centroid did not move compares its kept best with
+      the moved rows (ties to the lowest index, as ``argmin``); a point
+      whose own centroid moved is re-ranked over all of ``R``;
+    - distances are recomputed only for the points that changed label or
+      whose centroid moved.
+
+    ``tests/test_clustering.py`` pins the BLAS and ``einsum`` equalities
+    this rests on by name.
     """
     X = np.asarray(X, dtype=float)
     C = np.array(initial_centroids, dtype=float)
     if C.ndim != 2 or C.shape[1] != X.shape[1]:
         raise ValueError("initial centroids must be a (k, n_attributes) matrix")
     k = C.shape[0]
-    if not 1 <= k <= X.shape[0]:
-        raise ValueError(f"need 1 <= k <= {X.shape[0]}, got k={k}")
+    n = X.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if len(np.unique(C, axis=0)) != k:
         raise ValueError("initial centroids must be distinct")
-    space = _WeightedSpace(X, w)
+    if space is None:
+        space = _WeightedSpace(X, w)
 
-    labels, dists = space.assign(C)
+    Cw, Ca = space.ranking_rows(C)
+    R = space.ranking(Ca)
+    points = np.arange(n)
+    labels = _column_argmin(R, points)
+    best = R[labels, points]
+    dists = space.dists_at(Cw, labels, points)
     history = [_mean_cluster_distance(labels, dists, k)]
     objective = [float(np.sum(dists**2))]
     converged = False
+    stale = None  # the initial centroids are not means: average every cluster
     for _ in range(max_iter):
-        C = _cluster_means(X, labels, C)
-        new_labels, dists = space.assign(C)
+        new_C = _cluster_means(X, labels, C, stale)
+        moved = np.any(new_C != C, axis=1)
+        C = new_C
+        Cw, Ca = space.ranking_rows(C)
+        new_labels = _rerank_moved(space, R, best, labels, moved, Ca)
+        changed = new_labels != labels
+        redo = np.flatnonzero(changed | moved[labels])
+        dists[redo] = space.dists_at(Cw, new_labels, redo)
         history.append(_mean_cluster_distance(new_labels, dists, k))
         objective.append(float(np.sum(dists**2)))
-        if np.array_equal(new_labels, labels):
+        if not changed.any():
             converged = True
-            labels = new_labels
             break
+        stale = np.zeros(k, dtype=bool)
+        stale[labels[changed]] = True
+        stale[new_labels[changed]] = True
         labels = new_labels
 
     counts = np.bincount(labels, minlength=k)
@@ -560,7 +696,7 @@ def self_adaptive_pso_kmeans(
     history: list[float] = []
     eps_d, eps_c = adapt.eps_d, adapt.eps_c
     for _ in range(adapt.max_outer):
-        model = kmeans(X, centroids, space.w)
+        model = kmeans(X, centroids, space.w, space=space)
         history.extend(model.smse_history)
         centroids, labels = _drop_empty(model.centroids, model.assignment)
         structural = bool(model.empty_clusters)

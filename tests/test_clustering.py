@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import gridscan as gs
 from gridscan.clustering import (
+    KMEANS_MAX_ITER,
     AdaptiveParams,
     PsoParams,
     Swarm,
     _cluster_means,
+    _mean_cluster_distance,
     _WeightedSpace,
     default_k_init,
     inertia_weight,
@@ -239,6 +241,131 @@ def test_kmeans_smse_consistent_with_recomputation(rng):
         assert abs(model.smse - smse(model, X)) < 1e-9
 
 
+def _full_sweep_kmeans(X, initial_centroids, w, max_iter=KMEANS_MAX_ITER):
+    """Reference: every Lloyd sweep re-averages every cluster and re-ranks
+    every centroid for every point with one full ``assign``."""
+    X = np.asarray(X, dtype=float)
+    C = np.array(initial_centroids, dtype=float)
+    k = C.shape[0]
+    space = _WeightedSpace(X, w)
+    labels, dists = space.assign(C)
+    history = [_mean_cluster_distance(labels, dists, k)]
+    objective = [float(np.sum(dists**2))]
+    converged = False
+    for _ in range(max_iter):
+        C = _cluster_means(X, labels, C)
+        new_labels, dists = space.assign(C)
+        history.append(_mean_cluster_distance(new_labels, dists, k))
+        objective.append(float(np.sum(dists**2)))
+        if np.array_equal(new_labels, labels):
+            converged = True
+            labels = new_labels
+            break
+        labels = new_labels
+    exact = space.exact_point_dists(C, labels)
+    return SimpleNamespace(
+        centroids=C,
+        assignment=labels,
+        smse=_mean_cluster_distance(labels, exact, k),
+        empty_clusters=tuple(int(i) for i in np.flatnonzero(np.bincount(labels, minlength=k) == 0)),
+        converged=converged,
+        smse_history=history,
+        objective_history=objective,
+    )
+
+
+def _assert_matches_full_sweeps(X, init, w, max_iter=KMEANS_MAX_ITER):
+    got = kmeans(X, init, w, max_iter)
+    ref = _full_sweep_kmeans(X, init, w, max_iter)
+    assert got.centroids.tobytes() == ref.centroids.tobytes()
+    assert got.assignment.dtype == ref.assignment.dtype
+    assert got.assignment.tobytes() == ref.assignment.tobytes()
+    assert got.smse.hex() == ref.smse.hex()
+    assert np.array(got.smse_history).tobytes() == np.array(ref.smse_history).tobytes()
+    assert np.array(got.objective_history).tobytes() == np.array(ref.objective_history).tobytes()
+    assert got.converged == ref.converged
+    assert got.empty_clusters == ref.empty_clusters
+    return ref
+
+
+def test_kmeans_matches_full_sweeps_bitwise_on_random_inputs():
+    sweeps = converged = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 400)), int(rng.integers(1, 7))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+        if seed % 2:
+            # a coarse grid, so exact ties abound; adding 0.0 turns -0.0
+            # into 0.0, which init_centroids_random would take for another point
+            X = np.round(X * 4) / 4 + 0.0
+        w = rng.uniform(0.0, 2.0, size=d)
+        w[rng.uniform(size=d) < 0.3] = 0.0
+        w[rng.integers(d)] = rng.uniform(0.5, 2.0)
+        k = int(rng.integers(1, min(len(np.unique(X, axis=0)), 25) + 1))
+        ref = _assert_matches_full_sweeps(X, init_centroids_random(X, k, rng), w)
+        sweeps += len(ref.smse_history) - 1
+        converged += ref.converged
+    assert sweeps > 200 and converged == 60
+
+
+def test_kmeans_matches_full_sweeps_bitwise_at_k_one_and_two(rng):
+    X = rng.normal(size=(300, 4))
+    w = np.array([1.0, 0.0, 0.3, 2.0])
+    for k, sweeps in ((1, 1), (2, 3)):
+        for _ in range(5):
+            ref = _assert_matches_full_sweeps(X, init_centroids_random(X, k, rng), w)
+            assert len(ref.smse_history) - 1 >= sweeps
+    for _ in range(5):  # a one-point dataset
+        X, init = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
+        _assert_matches_full_sweeps(X, init, rng.uniform(0.1, 2.0, size=8))
+
+
+def test_kmeans_matches_full_sweeps_when_one_centroid_moves(year, year_weights):
+    # from a fixed point with the last centroid nudged (too little to move
+    # any point), the first sweep moves that centroid alone, and a one-row
+    # product goes to GEMV
+    X = year.values[:3000]
+    space = _WeightedSpace(X, year_weights)
+    C = kmeans(X, init_centroids_random(X, 40, np.random.default_rng(4)), year_weights).centroids
+    C[-1] += 1e-9
+    moved = np.any(_cluster_means(X, space.assign(C)[0], C) != C, axis=1)
+    assert moved.tolist() == [False] * 39 + [True]
+    _assert_matches_full_sweeps(X, C, year_weights)
+
+
+def test_kmeans_exact_tie_between_kept_best_and_moved_centroid():
+    # the point at 0 sits at distance 1 from the unmoved centroid at -1
+    # (the mean of -2 and 0) and from the other centroid once it moves from
+    # 1.5 to 1 (the mean of 0.5 and 1.5); the tie goes to the lower index,
+    # whether that is the kept centroid or the moved one
+    X = np.array([[-2.0], [0.0], [0.5], [1.5]])
+    kept_lower = _assert_matches_full_sweeps(X, [[-1.0], [1.5]], np.ones(1))
+    assert kept_lower.assignment.tolist() == [0, 0, 1, 1]
+    assert len(kept_lower.smse_history) == 2
+    moved_lower = _assert_matches_full_sweeps(X, [[1.5], [-1.0]], np.ones(1))
+    assert moved_lower.assignment[1] == 0
+
+
+def test_kmeans_matches_full_sweeps_when_a_cluster_empties():
+    # the middle centroid starts with the points 2, 2 and 6; its mean 10/3
+    # then loses the 2s to the centroid at 1 and the 6 to the one at 7
+    X = np.array([[1.0], [2.0], [2.0], [6.0], [7.0], [7.0]])
+    init = np.array([[1.0], [1.5], [10.5]])
+    assert _WeightedSpace(X, np.ones(1)).assign(init)[0].tolist() == [0, 1, 1, 1, 2, 2]
+    ref = _assert_matches_full_sweeps(X, init, np.ones(1))
+    assert ref.assignment.tolist() == [0, 0, 0, 2, 2, 2]
+    assert ref.empty_clusters == (1,)
+
+
+def test_kmeans_matches_full_sweeps_when_max_iter_ends_early(rng):
+    X = rng.normal(size=(500, 3))
+    init = init_centroids_random(X, 12, rng)
+    ref = _assert_matches_full_sweeps(X, init, np.ones(3), max_iter=0)
+    assert len(ref.smse_history) == 1 and not ref.converged
+    ref = _assert_matches_full_sweeps(X, init, np.ones(3), max_iter=3)
+    assert len(ref.smse_history) == 4 and not ref.converged
+
+
 # ── assignment, cluster means and random seeding ─────────────────────────
 
 
@@ -304,6 +431,86 @@ def test_assign_exact_tie_goes_to_lowest_index():
         labels, dists = space.assign(np.array(C))
         assert labels.tolist() == [1, 1]
         assert dists.tolist() == [1.0, np.sqrt(1.0625)]
+
+
+@pytest.fixture(params=["default year", "2000x12 year"])
+def ranking_cases(request, year, year_weights):
+    """Spaces and centroid sets of the sizes k-means meets on two years."""
+    rng = np.random.default_rng(0)
+    if request.param == "default year":
+        X, w = year.values, year_weights
+    else:
+        config = gs.SyntheticYearConfig(n_hours=2000, n_attributes=12, seed=5)
+        X = gs.generate_synthetic_year(config).values
+        w = rng.uniform(0.0, 1.0, size=12)
+        w[[2, 5, 9]] = 0.0
+    space = _WeightedSpace(X, w)
+    cases = []
+    for k in (2, 3, 40, 83):
+        C = init_centroids_random(X, k, rng) + rng.normal(0, 0.01, size=(k, X.shape[1]))
+        cases.append((space, C))
+    return cases
+
+
+# Incremental k-means rests on the three equalities below.  They hold for
+# numpy 2.4 with OpenBLAS 0.3.31, at one BLAS thread and at the default
+# count.  An upgrade that breaks one fails here by name, instead of
+# shifting cluster models silently.
+
+
+def test_ranking_product_transposed_equals_assign_product_bitwise(ranking_cases):
+    for space, C in ranking_cases:
+        Cw, Ca = space.ranking_rows(C)
+        R = Ca @ space.Xa.T
+        assert np.ascontiguousarray(R.T).tobytes() == (space.Xa @ Ca.T).tobytes()
+        labels, _ = space.assign(C)
+        assert R.argmin(axis=0).tobytes() == labels.tobytes()
+
+
+def test_ranking_sub_product_of_two_or_more_rows_equals_full_rows_bitwise(ranking_cases):
+    rng = np.random.default_rng(1)
+    for space, C in ranking_cases:
+        _, Ca = space.ranking_rows(C)
+        R = Ca @ space.Xa.T
+        k = len(C)
+        for size in sorted({2, min(3, k), max(2, k // 7), max(2, k // 2), k}):
+            rows = np.sort(rng.choice(k, size=size, replace=False))
+            assert (Ca[rows] @ space.Xa.T).tobytes() == R[rows].tobytes(), (k, size)
+        rows = np.array([k - 1, 0])
+        assert (Ca[rows] @ space.Xa.T).tobytes() == R[rows].tobytes()
+
+
+def test_assign_distances_equal_row_subset_recomputation_bitwise(ranking_cases):
+    rng = np.random.default_rng(2)
+    for space, C in ranking_cases:
+        Cw, _ = space.ranking_rows(C)
+        labels, dists = space.assign(C)
+        n = len(labels)
+        for size in (2, 3, 17, n // 3, n):
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+            assert space.dists_at(Cw, labels, rows).tobytes() == dists[rows].tobytes(), size
+
+
+def test_ranking_and_dists_at_give_the_full_pass_bits_for_a_lone_row(ranking_cases):
+    # on their own, one-row products go to GEMV and one-row distances to a
+    # vectorised dot; both round differently from the full pass
+    rng = np.random.default_rng(3)
+    for space, C in ranking_cases:
+        Cw, Ca = space.ranking_rows(C)
+        R = Ca @ space.Xa.T
+        for row in range(len(C)):
+            assert space.ranking(Ca[[row]]).tobytes() == R[[row]].tobytes(), row
+        labels, dists = space.assign(C)
+        for point in rng.choice(len(labels), size=40, replace=False):
+            rows = np.array([point])
+            assert space.dists_at(Cw, labels, rows).tobytes() == dists[rows].tobytes(), point
+    # in a one-point space assign's own pass is the vectorised dot
+    for _ in range(20):
+        lone = _WeightedSpace(rng.normal(size=(1, 8)), rng.uniform(0.1, 2.0, size=8))
+        C = rng.normal(size=(1, 8))
+        labels, dists = lone.assign(C)
+        Cw, _ = lone.ranking_rows(C)
+        assert lone.dists_at(Cw, labels, np.array([0])).tobytes() == dists.tobytes()
 
 
 def _cluster_means_per_attribute(X, labels, old_centroids):

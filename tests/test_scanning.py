@@ -70,6 +70,14 @@ def test_fast_scan_nan_at_a_centroid_raises():
         gs.fast_scan(data, OffDataNan(), small_config())
 
 
+def test_readme_quick_start_outputs(default_scan):
+    # the README quick start; a change that drifts the clustering's bits
+    # usually moves one of these
+    assert default_scan.k_final == 83
+    assert default_scan.oracle_evaluations == 683
+    assert round(default_scan.mape, 4) == 0.0180
+
+
 def test_fast_scan_lambda_hat_piecewise_constant():
     data = small_year()
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
