@@ -70,19 +70,19 @@ class _WeightedSpace:
     vectors have some.  The centroid norms in the GEMM are still summed
     over the full scaled row (exact zeros in the inactive columns),
     because a sum over the active columns alone rounds differently and
-    could flip a near-tie.  The space owns the n x k GEMM output buffer,
-    reallocated only when k changes, and an n x |active| scratch buffer
-    for the distance, so a space must not be shared between threads.
-    ``lo``/``hi`` and ``exact_point_dists`` stay on all columns; the
-    latter recomputes the assigned distances term by term in the unscaled
-    coordinates for threshold checks and reported SMSE values.
+    could flip a near-tie.  Every call allocates its own outputs: the
+    space is read-only, can be shared across threads.  ``lo``/``hi`` and
+    ``exact_point_dists`` stay on all columns; the latter recomputes the
+    assigned distances term by term in the unscaled coordinates for
+    threshold checks and reported SMSE values.
 
-    ``Xw``, ``Xa`` and the distance scratch are Fortran-ordered, and the
-    distance bits depend on it: the ``einsum`` over an F-ordered
-    difference adds each row's terms one column at a time, left to right,
-    while over a C-ordered copy of the same rows it takes a vectorised dot
-    per row that rounds differently.  ``kmeans`` recomputes some rows'
-    distances on their own and relies on them matching ``assign``'s.
+    ``Xa`` is Fortran-ordered, ``Xw`` is its view without the ones column,
+    and ``_dists`` builds the F-ordered difference the distance bits depend
+    on: the ``einsum`` over it adds each row's terms one column at a time,
+    left to right, while over a C-ordered copy of the same rows it takes a
+    vectorised dot per row that rounds differently.  ``kmeans`` recomputes
+    some rows' distances on their own and relies on them matching
+    ``assign``'s.
     """
 
     def __init__(self, X: np.ndarray, w: np.ndarray):
@@ -90,10 +90,9 @@ class _WeightedSpace:
         self.w = validate_weights(w, self.X.shape[1])
         self.sqrt_w = np.sqrt(self.w)
         self.active = np.flatnonzero(self.w > 0)
-        self.Xw = np.asfortranarray(self.X[:, self.active] * self.sqrt_w[self.active])
-        self.Xa = np.asfortranarray(np.hstack([self.Xw, np.ones((self.X.shape[0], 1))]))
-        self._buf = np.empty((self.X.shape[0], 0))
-        self._diff = np.empty_like(self.Xw, order="F")
+        scaled = self.X[:, self.active] * self.sqrt_w[self.active]
+        self.Xa = np.asfortranarray(np.hstack([scaled, np.ones((self.X.shape[0], 1))]))
+        self.Xw = self.Xa[:, :-1]
         self.lo = self.X.min(axis=0)
         self.hi = self.X.max(axis=0)
 
@@ -111,17 +110,11 @@ class _WeightedSpace:
         ``[Xw, 1] @ [-2 Cw, |Cw|^2].T`` is the squared distance less the
         row constant ``|Xw|^2``, so its row argmin is the nearest centroid.
         The returned distance is ``|Xw - Cw[label]|``, free of the
-        cancellation the norm expansion suffers near a centroid.  It is a
-        fresh array; the scratch buffer is overwritten by the next call.
+        cancellation the norm expansion suffers near a centroid.
         """
         Cw, Ca = self.ranking_rows(centroids)
-        if self._buf.shape[1] != Ca.shape[0]:
-            self._buf = np.empty((self.Xa.shape[0], Ca.shape[0]))
-        np.matmul(self.Xa, Ca.T, out=self._buf)
-        labels = self._buf.argmin(axis=1)
-        diff = np.take(Cw, labels, axis=0, out=self._diff)
-        np.subtract(self.Xw, diff, out=diff)
-        return labels, np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        labels = (self.Xa @ Ca.T).argmin(axis=1)
+        return labels, self._dists(self.Xw, Cw, labels)
 
     def ranking(self, Ca: np.ndarray) -> np.ndarray:
         """``Ca @ Xa.T`` for ranking rows ``Ca``: row j ranks centroid j at
@@ -143,9 +136,14 @@ class _WeightedSpace:
         """
         if len(rows) == 1 and len(self.Xw) > 1:
             return self.dists_at(Cw, labels, np.append(rows, rows))[:1]
-        diff = np.empty((len(rows), Cw.shape[1]), order="F")
-        np.take(Cw, labels[rows], axis=0, out=diff)
-        np.subtract(self.Xw[rows], diff, out=diff)
+        return self._dists(self.Xw[rows], Cw, labels[rows])
+
+    @staticmethod
+    def _dists(Xw: np.ndarray, Cw: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """``|Xw - Cw[labels]|`` row by row, over a fresh F-ordered difference."""
+        diff = np.empty(Xw.shape, order="F")
+        np.take(Cw, labels, axis=0, out=diff)
+        np.subtract(Xw, diff, out=diff)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def exact_point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -421,7 +419,7 @@ def init_centroids_random(X, k: int, rng: np.random.Generator) -> np.ndarray:
     chosen: list[np.ndarray] = []
     seen = set()
     for idx in rng.permutation(len(X)):
-        key = X[idx].tobytes()
+        key = (X[idx] + 0.0).tobytes()  # -0.0 and 0.0 are one point, as for np.unique
         if key in seen:
             continue
         seen.add(key)

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,9 +297,8 @@ def test_kmeans_matches_full_sweeps_bitwise_on_random_inputs():
         n, d = int(rng.integers(2, 400)), int(rng.integers(1, 7))
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
         if seed % 2:
-            # a coarse grid, so exact ties abound; adding 0.0 turns -0.0
-            # into 0.0, which init_centroids_random would take for another point
-            X = np.round(X * 4) / 4 + 0.0
+            # a coarse grid, so exact ties abound (and np.round makes -0.0)
+            X = np.round(X * 4) / 4
         w = rng.uniform(0.0, 2.0, size=d)
         w[rng.uniform(size=d) < 0.3] = 0.0
         w[rng.integers(d)] = rng.uniform(0.5, 2.0)
@@ -370,8 +371,8 @@ def test_kmeans_matches_full_sweeps_when_max_iter_ends_early(rng):
 
 
 def test_assign_matches_brute_force_across_changing_k(rng):
-    # k goes 5 -> 9 -> 5 on one space, so the GEMM buffer is reallocated
-    # and then reused at a size it held before
+    # k goes 5 -> 9 -> 5 on one space, and the first set gives the same
+    # bits again after the others
     X = rng.uniform(-1, 1, size=(150, 4))
     w = rng.uniform(0.1, 2.0, size=4)
     space = _WeightedSpace(X, w)
@@ -404,7 +405,7 @@ def test_assign_skips_zero_weight_columns(rng):
     positive = w > 0
     reduced = _WeightedSpace(X[:, positive], w[positive])
     assert np.array_equal(reduced.assign(C[:, positive])[0], labels)
-    # the distances are a fresh array, not the space's scratch buffer
+    # the distances are a fresh array, not overwritten by the next call
     kept = dists.copy()
     space.assign(C[::-1])
     assert dists.tobytes() == kept.tobytes()
@@ -431,6 +432,26 @@ def test_assign_exact_tie_goes_to_lowest_index():
         labels, dists = space.assign(np.array(C))
         assert labels.tolist() == [1, 1]
         assert dists.tolist() == [1.0, np.sqrt(1.0625)]
+
+
+def test_one_space_shared_by_threads_gives_sequential_bits(year, year_weights):
+    space = _WeightedSpace(year.values, year_weights)
+    attributes = set(vars(space))
+    assert np.shares_memory(space.Xw, space.Xa)
+    rng = np.random.default_rng(6)
+    sets = [init_centroids_random(year.values, k, rng) for k in (40, 67, 83) * 4]
+    sequential = [space.assign(C) for C in sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            shared = list(pool.map(space.assign, sets, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (labels, dists), (want_labels, want_dists) in zip(shared, sequential):
+        assert labels.tobytes() == want_labels.tobytes()
+        assert dists.tobytes() == want_dists.tobytes()
+    assert set(vars(space)) == attributes
 
 
 @pytest.fixture(params=["default year", "2000x12 year"])
@@ -541,6 +562,16 @@ def test_init_centroids_random_k_equals_distinct_points():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
     C = init_centroids_random(X, 3, np.random.default_rng(0))
     assert sorted(map(tuple, C.tolist())) == [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]
+
+
+def test_signed_zeros_are_one_point_when_seeding():
+    # np.unique, which kmeans checks the seeds with, takes 0.0 and -0.0 for one
+    X = np.array([[0.0], [-0.0], [1.0]])
+    with pytest.raises(ValueError, match="only 2 distinct points, cannot seed k=3"):
+        init_centroids_random(X, 3, np.random.default_rng(0))
+    for seed in range(8):
+        init = init_centroids_random(X, 2, np.random.default_rng(seed))
+        assert kmeans(X, init, np.ones(1)).converged
 
 
 def test_k_above_distinct_points_is_a_clear_error():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,11 @@ def test_readme_quick_start_outputs(default_scan):
     assert default_scan.k_final == 83
     assert default_scan.oracle_evaluations == 683
     assert round(default_scan.mape, 4) == 0.0180
+    # the benchmark's results hash: every centroid and imputed index to
+    # the bit, with numpy 2.4.6 and OpenBLAS 0.3.31
+    digest = hashlib.sha256(default_scan.model.centroids.tobytes())
+    digest.update(default_scan.lambda_hat.tobytes())
+    assert digest.hexdigest()[:16] == "f0947f173706b9f6"
 
 
 def test_fast_scan_lambda_hat_piecewise_constant():
