@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 KMEANS_MAX_ITER = 300
 
@@ -55,6 +54,15 @@ def weighted_distance(x, y, w) -> float:
             f"dimension mismatch: x{x.shape}, y{y.shape}, w{w.shape}"
         )
     return float(np.sqrt(np.sum(w * (x - y) ** 2)))
+
+
+def _pairwise_dists(A, B) -> np.ndarray:
+    """Row-to-row Euclidean distances, summed attribute by attribute as in ``cdist``."""
+    acc = np.zeros((len(A), len(B)))
+    for a, b in zip(A.T, B.T):
+        d = np.subtract.outer(a, b)
+        acc += np.multiply(d, d, out=d)
+    return np.sqrt(acc, out=acc)
 
 
 class _WeightedSpace:
@@ -636,7 +644,7 @@ def _merge_close(centroids, labels, eps_c, sqrt_w):
     counts = np.bincount(labels, minlength=centroids.shape[0]).astype(float)
     merged = False
     while centroids.shape[0] > 1:
-        D = cdist(centroids * sqrt_w, centroids * sqrt_w)
+        D = _pairwise_dists(centroids * sqrt_w, centroids * sqrt_w)
         np.fill_diagonal(D, np.inf)
         i, j = np.unravel_index(np.argmin(D), D.shape)
         if D[i, j] >= eps_c:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata, spearmanr
 
+from .clustering import _pairwise_dists
 from .oracles import evaluate_many
 
 
@@ -165,6 +164,24 @@ def neighbor_influence(k: int, sigma: float) -> np.ndarray:
     return d1 / d1.sum()
 
 
+def _nearest(D: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of D, ordered by
+    (distance, index): the first k columns of a stable row argsort."""
+    rows, cols = np.nonzero(D <= np.partition(D, k - 1, axis=1)[:, k - 1 : k])
+    order = np.lexsort((cols, D[rows, cols], rows))
+    return cols[order][np.searchsorted(rows, np.arange(len(D)))[:, None] + np.arange(k)]
+
+
+def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
+    """Rank 1 for the largest value, equal values ranked by index."""
+    return np.argsort(np.argsort(-values, kind="stable")) + 1
+
+
+def _spearman(p: np.ndarray, q: np.ndarray) -> float:
+    """Spearman's rho of two rank permutations; 1 for a single attribute."""
+    return np.corrcoef(p, q)[0, 1] if len(p) > 1 else 1.0
+
+
 def rrelieff_pass(
     X: np.ndarray,
     lam: np.ndarray,
@@ -175,10 +192,10 @@ def rrelieff_pass(
     """One RReliefF estimation pass over a training matrix.
 
     For each of m sampled instances, the k nearest neighbors (unweighted
-    Euclidean distance over all attributes, self excluded, ties broken by
-    index) contribute to three accumulators: different-prediction mass,
-    per-attribute different-attribute mass, and their joint mass.  The
-    attribute weight is the joint/prediction ratio minus the
+    Euclidean distance over all attributes, self excluded, in (distance,
+    index) order) contribute to three accumulators: different-prediction
+    mass, per-attribute different-attribute mass, and their joint mass.
+    The attribute weight is the joint/prediction ratio minus the
     attribute-only/same-prediction ratio, which lies in [-1, 1].
 
     Parameters
@@ -219,12 +236,10 @@ def rrelieff_pass(
     lam_min = float(lam.min())
     lam_max = float(lam.max())
 
-    # Neighbor search: full distance matrix from the sampled rows, self
-    # masked out, stable sort so equal distances resolve by index.
-    D = cdist(X[sample_indices], X)
+    # Neighbors, self masked out: a partition, then (distance, index) order.
+    D = _pairwise_dists(X[sample_indices], X)
     D[np.arange(m), sample_indices] = np.inf
-    order = np.argsort(D, axis=1, kind="stable")
-    nbr = order[:, : params.k]                      # (m, k)
+    nbr = _nearest(D, params.k)                     # (m, k)
 
     d_rank = neighbor_influence(params.k, params.sigma)   # (k,)
 
@@ -241,7 +256,7 @@ def rrelieff_pass(
             "leave an empty weight denominator"
         )
     weights = n_dca / n_dc - (n_da - n_dca) / (m - n_dc)
-    ranks = rankdata(-weights, method="ordinal").astype(int)
+    ranks = _ordinal_ranks(weights)
     variances = X.var(axis=0)
     return FeatureReport(
         names=tuple(f"a{i}" for i in range(n_attr)),
@@ -269,7 +284,7 @@ def adjust_weights(report: FeatureReport, C: float | None = None) -> FeatureRepo
     if C <= 0:
         raise ValueError("C must be positive")
     adjusted = C * raw
-    adj_ranks = rankdata(-adjusted, method="ordinal").astype(int)
+    adj_ranks = _ordinal_ranks(adjusted)
     return replace(report, adjusted_weights=adjusted, adjusted_ranks=adj_ranks)
 
 
@@ -349,10 +364,7 @@ def select_features(
         top = float(np.max(np.abs(report.weights)))
         scaled = report.weights / top if top > 0 else report.weights
         if prev_ranks is not None:
-            if len(report.adjusted_ranks) > 1:
-                rho = spearmanr(prev_ranks, report.adjusted_ranks).statistic
-            else:
-                rho = 1.0
+            rho = _spearman(prev_ranks, report.adjusted_ranks)
             drift = float(np.max(np.abs(scaled - prev_scaled)))
             stable = stable + 1 if (rho >= params.rho_threshold and drift <= params.epsilon_f) else 0
             if stable >= params.window:
