@@ -116,6 +116,8 @@ def load_config(path: str | None, overrides) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError("config key <root> must be an object")
     for entry in overrides or []:
         _apply_override(config, entry)
     _check_keys(config, _SCHEMA)
@@ -155,31 +157,34 @@ def build_oracle(config: dict, data: OperatingPointSet):
     section = config.get("oracle") or {}
     kind = section.get("kind", "damping_surrogate")
     delay_ms = section.get("delay_ms", 0.0)
-    if kind == "damping_surrogate":
-        b0 = float(section.get("b0", 5.0))
-        if "linear" in section:
-            linear = {int(i): float(c) for i, c in section["linear"].items()}
-            quadratic = {(int(i), int(j)): float(c) for i, j, c in section.get("quadratic", [])}
-            return DampingSurrogate(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
-        informative = section.get("informative")
-        if informative is None:
-            informative = data.metadata.get("informative_indices")
-        if not informative:
-            raise ConfigError(
-                "oracle: damping_surrogate needs 'informative' indices or 'linear' "
-                "coefficients (synthetic datasets provide them via metadata)"
+    try:
+        if kind == "damping_surrogate":
+            b0 = float(section.get("b0", 5.0))
+            if "linear" in section:
+                linear = {int(i): float(c) for i, c in section["linear"].items()}
+                quadratic = {(int(i), int(j)): float(c) for i, j, c in section.get("quadratic", [])}
+                return DampingSurrogate(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
+            informative = section.get("informative")
+            if informative is None:
+                informative = data.metadata.get("informative_indices")
+            if not informative:
+                raise ConfigError(
+                    "damping_surrogate needs 'informative' indices or 'linear' "
+                    "coefficients (synthetic datasets provide them via metadata)"
+                )
+            return DampingSurrogate.from_seed(
+                informative, seed=int(section.get("seed", 0)), b0=b0, delay_ms=delay_ms
             )
-        return DampingSurrogate.from_seed(
-            informative, seed=int(section.get("seed", 0)), b0=b0, delay_ms=delay_ms
-        )
-    if kind == "two_bus_margin":
-        load_columns = section.get("load_columns")
-        if load_columns is None:
-            load_columns = data.columns_of_kind(AttributeKind.LOAD_P)
-        if not load_columns:
-            raise ConfigError("oracle: two_bus_margin found no load_P columns")
-        return TwoBusMargin(E=float(section.get("E", 1.0)), X=float(section.get("X", 0.5)),
-                            load_indices=load_columns, delay_ms=delay_ms)
+        if kind == "two_bus_margin":
+            load_columns = section.get("load_columns")
+            if load_columns is None:
+                load_columns = data.columns_of_kind(AttributeKind.LOAD_P)
+            if not load_columns:
+                raise ConfigError("two_bus_margin found no load_P columns")
+            return TwoBusMargin(E=float(section.get("E", 1.0)), X=float(section.get("X", 0.5)),
+                                load_indices=load_columns, delay_ms=delay_ms)
+    except (TypeError, ValueError) as exc:  # ConfigError included
+        raise ConfigError(f"oracle: {exc}")
     raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
 
 

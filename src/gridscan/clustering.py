@@ -79,10 +79,10 @@ class _WeightedSpace:
     over the full scaled row (exact zeros in the inactive columns),
     because a sum over the active columns alone rounds differently and
     could flip a near-tie.  Every call allocates its own outputs: the
-    space is read-only, can be shared across threads.  ``lo``/``hi`` and
-    ``exact_point_dists`` stay on all columns; the latter recomputes the
-    assigned distances term by term in the unscaled coordinates for
-    threshold checks and reported SMSE values.
+    space is read-only, can be shared across threads.  ``lo``/``hi`` stay
+    on all columns.  ``point_dists`` gives ``assign``'s distances for a
+    given partition; reported SMSE values, ``eps_d`` and the split test
+    read them, so they are the distances k-means minimised.
 
     ``Xa`` is Fortran-ordered, ``Xw`` is its view without the ones column,
     and ``_dists`` builds the F-ordered difference the distance bits depend
@@ -154,8 +154,9 @@ class _WeightedSpace:
         np.subtract(Xw, diff, out=diff)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def exact_point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return _member_dists(self.X, centroids, labels, self.w)
+    def point_dists(self, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Each point's distance to its centroid ``labels[i]``, with ``assign``'s bits."""
+        return self._dists(self.Xw, self.ranking_rows(centroids)[0], labels)
 
     def fitness(self, centroids: np.ndarray) -> float:
         """Empty-cluster-safe SMSE of the partition induced by ``centroids``.
@@ -164,12 +165,6 @@ class _WeightedSpace:
         """
         labels, dists = self.assign(centroids)
         return _mean_cluster_distance(labels, dists, centroids.shape[0])
-
-
-def _member_dists(X, centroids, labels, w) -> np.ndarray:
-    """Weighted distance of each point to its assigned centroid, term by term."""
-    diff = X - centroids[labels]
-    return np.sqrt(np.einsum("ij,j,ij->i", diff, w, diff))
 
 
 def _mean_cluster_distance(labels, dists, k: int) -> float:
@@ -186,8 +181,8 @@ class ClusterModel:
     ``assignment[i]`` is the index of the weighted-distance-nearest
     centroid of point i (ties broken toward the lowest index).  ``smse``
     is the average over non-empty clusters of the mean member distance;
-    for repaired final models ``empty_clusters`` is empty and the strict
-    recomputation matches within 1e-9.  ``elapsed_s`` is the wall time of
+    for repaired final models ``empty_clusters`` is empty and :func:`smse`
+    gives the same bits.  ``elapsed_s`` is the wall time of
     the scan's clustering stage that produced the model (0 outside a
     scan); it is not serialized.
     """
@@ -246,7 +241,7 @@ class ClusterModel:
 
 
 def smse(model: ClusterModel, X) -> float:
-    """Strict SMSE recomputation from a model's assignment and centroids.
+    """SMSE of a model's assignment and centroids, recomputed on ``X``.
 
     Raises on empty clusters; repair (or drop) them first.
     """
@@ -255,8 +250,7 @@ def smse(model: ClusterModel, X) -> float:
     empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
     if len(empty):
         raise ValueError(f"empty cluster(s) {empty.tolist()}: repair before computing SMSE")
-    dists = _member_dists(np.asarray(X, dtype=float), model.centroids, labels,
-                          np.asarray(model.weights, dtype=float))
+    dists = _WeightedSpace(X, model.weights).point_dists(model.centroids, labels)
     return _mean_cluster_distance(labels, dists, k)
 
 
@@ -338,10 +332,10 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER, *,
     sweeps.  Clusters that end up with no members are reported in
     ``empty_clusters`` (their centroids stay where they last were), never
     silently dropped.  ``smse_history[0]`` is the SMSE of the initial
-    assignment; one entry is appended per sweep.  ``objective_history``
-    tracks the total squared weighted distance, the quantity each Lloyd
-    sweep provably decreases (the unsquared SMSE can tick up slightly
-    while the squared objective descends).  ``space``, when given, is the
+    assignment; one entry is appended per sweep, and ``smse`` is the last.
+    ``objective_history`` tracks the total squared weighted distance, the
+    quantity each Lloyd sweep provably decreases (the unsquared SMSE can
+    tick up slightly while the squared objective descends).  ``space``, when given, is the
     ``_WeightedSpace`` of ``X`` and ``w``, so a caller that restarts
     k-means on one dataset builds it once.
 
@@ -407,12 +401,11 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER, *,
 
     counts = np.bincount(labels, minlength=k)
     empty = tuple(int(i) for i in np.flatnonzero(counts == 0))
-    exact = space.exact_point_dists(C, labels)
     return ClusterModel(
         centroids=C,
         assignment=labels,
         weights=space.w,
-        smse=_mean_cluster_distance(labels, exact, k),
+        smse=history[-1],
         k=k,
         empty_clusters=empty,
         converged=converged,
@@ -707,16 +700,17 @@ def self_adaptive_pso_kmeans(
         centroids, labels = _drop_empty(model.centroids, model.assignment)
         structural = bool(model.empty_clusters)
 
-        exact = space.exact_point_dists(centroids, labels)
+        # dropping empty clusters changes no cluster's mean distance: SMSE stands
+        dists = space.point_dists(centroids, labels)
         if eps_d is None:
-            eps_d = max(float(np.quantile(exact, SPLIT_QUANTILE)), 1e-12)
+            eps_d = max(float(np.quantile(dists, SPLIT_QUANTILE)), 1e-12)
         if eps_c is None:
             eps_c = eps_d / 10.0
         candidate = ClusterModel(
             centroids=centroids,
             assignment=labels,
             weights=space.w,
-            smse=_mean_cluster_distance(labels, exact, centroids.shape[0]),
+            smse=model.smse,
             k=centroids.shape[0],
             converged=True,
             eps_d=eps_d,
@@ -726,9 +720,9 @@ def self_adaptive_pso_kmeans(
         if best is None or candidate.smse < best.smse:
             best = candidate
 
-        violating = exact > eps_d
+        violating = dists > eps_d
         if np.any(violating):
-            farthest = int(np.argmax(np.where(violating, exact, -np.inf)))
+            farthest = int(np.argmax(np.where(violating, dists, -np.inf)))
             centroids = np.vstack([centroids, X[farthest]])
             structural = True
 

@@ -337,7 +337,7 @@ def test_criterion_9_invariant_suites(year, year_weights):
     )
     assert final.converged and not final.empty_clusters
     sub_space = _WeightedSpace(sub, year_weights)
-    dists = sub_space.exact_point_dists(final.centroids, final.assignment)
+    dists = sub_space.point_dists(final.centroids, final.assignment)
     assert dists.max() <= final.eps_d + 1e-12
     from scipy.spatial.distance import pdist
 

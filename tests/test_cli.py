@@ -95,6 +95,26 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     )
     assert code == 2
     assert "dataset.bogus" in capsys.readouterr().err
+    # a file whose root is not an object, with an override to apply to it
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    code = main(["generate", "--config", str(listed), "--out", str(tmp_path / "o"),
+                 "--set", "scan.seed=1"])
+    assert code == 2
+    assert "<root> must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ['oracle.b0="abc"'],
+    ['oracle.seed="abc"'],
+    ['oracle.kind="two_bus_margin"', "oracle.E=-1"],
+])
+def test_bad_oracle_value_exits_2(tmp_path, config_path, capsys, overrides):
+    argv = ["fullscan", "--config", config_path, "--out", str(tmp_path / "o")]
+    for entry in overrides:
+        argv += ["--set", entry]
+    assert main(argv) == 2
+    assert "error: oracle: " in capsys.readouterr().err
 
 
 def test_select_writes_feature_report(tmp_path, config_path):

@@ -264,11 +264,10 @@ def _full_sweep_kmeans(X, initial_centroids, w, max_iter=KMEANS_MAX_ITER):
             labels = new_labels
             break
         labels = new_labels
-    exact = space.exact_point_dists(C, labels)
     return SimpleNamespace(
         centroids=C,
         assignment=labels,
-        smse=_mean_cluster_distance(labels, exact, k),
+        smse=_mean_cluster_distance(labels, dists, k),
         empty_clusters=tuple(int(i) for i in np.flatnonzero(np.bincount(labels, minlength=k) == 0)),
         converged=converged,
         smse_history=history,
@@ -382,8 +381,8 @@ def test_assign_matches_brute_force_across_changing_k(rng):
         labels, dists = space.assign(C)
         direct = [np.argmin([weighted_distance(x, c, w) for c in C]) for x in X]
         assert np.array_equal(labels, direct)
-        exact = space.exact_point_dists(C, labels)
-        np.testing.assert_allclose(dists, exact, rtol=1e-12, atol=0)
+        ref = [weighted_distance(x, C[j], w) for x, j in zip(X, labels)]
+        np.testing.assert_allclose(dists, ref, rtol=1e-12, atol=0)
         if first is None:
             first = C, labels, dists
     C0, labels0, dists0 = first
@@ -401,7 +400,8 @@ def test_assign_skips_zero_weight_columns(rng):
     labels, dists = space.assign(C)
     direct = [np.argmin([weighted_distance(x, c, w) for c in C]) for x in X]
     assert np.array_equal(labels, direct)
-    np.testing.assert_allclose(dists, space.exact_point_dists(C, labels), rtol=1e-12, atol=0)
+    ref = [weighted_distance(x, C[j], w) for x, j in zip(X, labels)]
+    np.testing.assert_allclose(dists, ref, rtol=1e-12, atol=0)
     positive = w > 0
     reduced = _WeightedSpace(X[:, positive], w[positive])
     assert np.array_equal(reduced.assign(C[:, positive])[0], labels)
@@ -419,8 +419,8 @@ def test_assign_distance_survives_a_centroid_next_to_a_point(rng):
     C = np.vstack([X[0] + 1e-7, X[1:3]])
     labels, dists = space.assign(C)
     assert labels[0] == 0
-    exact = space.exact_point_dists(C, labels)
-    assert abs(dists[0] - exact[0]) <= 1e-6 * exact[0]
+    ref = weighted_distance(X[0], C[0], w)
+    assert abs(dists[0] - ref) <= 1e-6 * ref
 
 
 def test_assign_exact_tie_goes_to_lowest_index():
@@ -816,7 +816,7 @@ def test_adaptive_postconditions(year, year_weights):
     assert model.converged
     assert not model.empty_clusters
     space = _WeightedSpace(X, year_weights)
-    d = space.exact_point_dists(model.centroids, model.assignment)
+    d = space.point_dists(model.centroids, model.assignment)
     assert d.max() <= model.eps_d + 1e-12
     from scipy.spatial.distance import pdist
 
@@ -829,6 +829,48 @@ def test_adaptive_postconditions(year, year_weights):
     )
     assert np.array_equal(labels[:100], direct)
     assert abs(model.smse - smse(model, X)) < 1e-9
+    brute = np.mean([
+        np.mean([weighted_distance(x, c, year_weights) for x in X[model.assignment == j]])
+        for j, c in enumerate(model.centroids)
+    ])
+    assert abs(model.smse - brute) <= 1e-12 * brute
+
+
+# ── one distance: SMSE, eps_d and the split read k-means' own distances ──
+
+
+@pytest.fixture(scope="module", params=["default year", "2000x12 year"])
+def year_scan(request):
+    """A year and its fast scan, whose model is an adaptive clustering."""
+    if request.param == "default year":
+        return request.getfixturevalue("year"), request.getfixturevalue("default_scan")
+    data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=2000, n_attributes=12, seed=3))
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=3)
+    return data, gs.fast_scan(data, oracle)
+
+
+def test_kmeans_smse_is_its_last_history_entry_and_the_recomputed_smse(year_scan):
+    data, report = year_scan
+    X, w = data.values, report.model.weights
+    for seed in range(3):
+        init = init_centroids_random(X, report.model.k, np.random.default_rng(seed))
+        model = kmeans(X, init, w)
+        assert model.converged and not model.empty_clusters
+        assert model.smse.hex() == model.smse_history[-1].hex()
+        assert model.smse.hex() == smse(model, X).hex()
+
+
+def test_adaptive_smse_is_the_recomputed_smse(year_scan):
+    data, report = year_scan
+    assert report.model.smse.hex() == smse(report.model, data.values).hex()
+
+
+def test_adaptive_members_lie_within_eps_d_without_slack(year_scan):
+    data, report = year_scan
+    model = report.model
+    assert model.converged
+    space = _WeightedSpace(data.values, model.weights)
+    assert space.point_dists(model.centroids, model.assignment).max() <= model.eps_d
 
 
 def test_adaptive_flags_non_convergence(rng):
