@@ -11,7 +11,9 @@ and ``cluster`` run the stages of :func:`~gridscan.scanning.fast_scan` on
 its seeds, so they write the artifacts ``fastscan`` would.  Artifacts that
 later commands reuse (``feature_report.json``, ``cluster_model.json``,
 ``full_trace.csv``) get a ``<name>.meta.json`` key naming what they were
-computed from; they are reused only while that key matches.
+computed from; they are reused only while that key matches.  A dataset
+CSV is parsed once per ``--out``: the parse is kept in ``dataset.npz``,
+keyed by the program version and the CSV's bytes.
 
 Exit codes: 0 success, 2 config/validation error, 3 finished with
 non-convergence flags.
@@ -32,6 +34,7 @@ from . import __version__
 from .clustering import ClusterModel
 from .clustering import self_adaptive_pso_kmeans  # noqa: F401  uncalled; perfbench spans wrap it
 from .dataset import (
+    Attribute,
     AttributeKind,
     OperatingPointSet,
     SyntheticYearConfig,
@@ -136,21 +139,57 @@ def _build(cls, section: dict | None, path: str):
         raise ConfigError(f"config section {path!r}: {exc}")
 
 
-def build_dataset(config: dict) -> OperatingPointSet:
+def build_dataset(config: dict, out: Path) -> OperatingPointSet:
     section = config.get("dataset") or {}
     if "csv" in section and "synthetic" in section:
         raise ConfigError("dataset: give either 'csv' or 'synthetic', not both")
     if "csv" in section:
         try:
-            return load_csv(section["csv"])
-        except (OSError, ValueError) as exc:
+            return _csv_dataset(Path(section["csv"]), out)
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset.csv: {exc}")
     return generate_synthetic_year(_synthetic_config(config))
+
+
+def _csv_dataset(path: Path, out: Path) -> OperatingPointSet:
+    """``load_csv(path)``, from ``out/dataset.npz`` when that holds the parse
+    of these bytes by this program version; else parsed and saved there."""
+    key = {"version": __version__, "csv_sha256": _sha256_file(path)}
+    data = _cached_dataset(out, key)
+    if data is None:
+        data = load_csv(path)
+        np.savez(out / "dataset.npz", values=data.values, timestamps=data.timestamps)
+        attributes = [{**asdict(a), "kind": a.kind.value} for a in data.attributes]
+        _write_keyed(out, "dataset.npz", key, attributes=attributes)
+    return data
+
+
+def _cached_dataset(out: Path, key: dict) -> OperatingPointSet | None:
+    meta = _read_keyed(out, "dataset.npz", key)
+    if meta is None:
+        return None
+    try:
+        with np.load(out / "dataset.npz") as arrays:
+            return OperatingPointSet(
+                attributes=[Attribute(a["name"], AttributeKind(a["kind"]), a["raw_min"],
+                                      a["raw_max"]) for a in meta["attributes"]],
+                values=arrays["values"], timestamps=arrays["timestamps"])
+    except (KeyError, TypeError, ValueError):  # the key matches, the attributes were edited
+        return None
 
 
 def _synthetic_config(config: dict) -> SyntheticYearConfig:
     section = (config.get("dataset") or {}).get("synthetic")
     return _build(SyntheticYearConfig, section, "dataset.synthetic")
+
+
+def _columns(indices, key: str, data: OperatingPointSet) -> list[int]:
+    """``indices`` as attribute columns of ``data``, each in range."""
+    columns = [int(i) for i in indices]
+    for i in columns:
+        if not 0 <= i < data.n_attributes:
+            raise ValueError(f"{key} index {i} is out of range for {data.n_attributes} attributes")
+    return columns
 
 
 def build_oracle(config: dict, data: OperatingPointSet):
@@ -161,8 +200,15 @@ def build_oracle(config: dict, data: OperatingPointSet):
         if kind == "damping_surrogate":
             b0 = float(section.get("b0", 5.0))
             if "linear" in section:
-                linear = {int(i): float(c) for i, c in section["linear"].items()}
-                quadratic = {(int(i), int(j)): float(c) for i, j, c in section.get("quadratic", [])}
+                linear, entries = section["linear"], section.get("quadratic", [])
+                if not isinstance(linear, dict):
+                    raise ValueError("linear must be an object of index: coefficient pairs")
+                if not (isinstance(entries, list)
+                        and all(isinstance(e, list) and len(e) == 3 for e in entries)):
+                    raise ValueError("quadratic must be a list of [i, j, c] triples")
+                linear = dict(zip(_columns(linear, "linear", data), map(float, linear.values())))
+                quadratic = {tuple(_columns(e[:2], "quadratic", data)): float(e[2])
+                             for e in entries}
                 return DampingSurrogate(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
             informative = section.get("informative")
             if informative is None:
@@ -173,7 +219,8 @@ def build_oracle(config: dict, data: OperatingPointSet):
                     "coefficients (synthetic datasets provide them via metadata)"
                 )
             return DampingSurrogate.from_seed(
-                informative, seed=int(section.get("seed", 0)), b0=b0, delay_ms=delay_ms
+                _columns(informative, "informative", data), seed=int(section.get("seed", 0)),
+                b0=b0, delay_ms=delay_ms,
             )
         if kind == "two_bus_margin":
             load_columns = section.get("load_columns")
@@ -182,15 +229,16 @@ def build_oracle(config: dict, data: OperatingPointSet):
             if not load_columns:
                 raise ConfigError("two_bus_margin found no load_P columns")
             return TwoBusMargin(E=float(section.get("E", 1.0)), X=float(section.get("X", 0.5)),
-                                load_indices=load_columns, delay_ms=delay_ms)
+                                load_indices=_columns(load_columns, "load_columns", data),
+                                delay_ms=delay_ms)
     except (TypeError, ValueError) as exc:  # ConfigError included
         raise ConfigError(f"oracle: {exc}")
     raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
 
 
-def _pipeline_inputs(config: dict):
+def _pipeline_inputs(config: dict, out: Path):
     """Dataset, oracle and scan config: what every scanning subcommand starts from."""
-    data = build_dataset(config)
+    data = build_dataset(config, out)
     return data, build_oracle(config, data), _build(ScanConfig, config.get("scan"), "scan")
 
 
@@ -309,7 +357,7 @@ def _cached_model(out: Path, key: dict) -> ClusterModel | None:
 
 
 def cmd_select(args, out: Path, config: dict) -> int:
-    data, oracle, scan = _pipeline_inputs(config)
+    data, oracle, scan = _pipeline_inputs(config, out)
     report = select_stage(data, oracle, scan)
     _write_feature_report(out, report, _cache_key(data, oracle, scan))
     write_manifest(out, "select", config, ["feature_report.json", "feature_report.csv"])
@@ -330,7 +378,7 @@ def _weights_for_cluster(out: Path, data, oracle, scan: ScanConfig, key: dict) -
 
 
 def cmd_cluster(args, out: Path, config: dict) -> int:
-    data, oracle, scan = _pipeline_inputs(config)
+    data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
     model, _ = cluster_stage(data, _weights_for_cluster(out, data, oracle, scan, key), scan)
     _write_model(out, model, data, key)
@@ -340,7 +388,7 @@ def cmd_cluster(args, out: Path, config: dict) -> int:
 
 
 def cmd_fullscan(args, out: Path, config: dict) -> int:
-    data, oracle, _ = _pipeline_inputs(config)
+    data, oracle, _ = _pipeline_inputs(config, out)
     trace = full_scan(data, oracle)
     _write_full_trace(out, trace, data, oracle)
     trace.save_json(out / "full_trace.json")
@@ -375,7 +423,7 @@ def _clustering_flag(model) -> str:
 
 
 def cmd_fastscan(args, out: Path, config: dict) -> int:
-    data, oracle, scan = _pipeline_inputs(config)
+    data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
     model = _cached_model(out, key)
     report = fast_scan(data, oracle, scan, cached_model=model)
@@ -400,7 +448,7 @@ def _cached_full_trace(out: Path, data, oracle) -> StabilityTrace | None:
 
 
 def cmd_compare(args, out: Path, config: dict) -> int:
-    data, oracle, scan = _pipeline_inputs(config)
+    data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
     cached, model = _cached_full_trace(out, data, oracle), _cached_model(out, key)
     report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
@@ -419,7 +467,7 @@ def cmd_compare(args, out: Path, config: dict) -> int:
 
 
 def cmd_worstcase(args, out: Path, config: dict) -> int:
-    data, oracle, scan = _pipeline_inputs(config)
+    data, oracle, scan = _pipeline_inputs(config, out)
     which = (config.get("worstcase") or {}).get("trace", "full")
     if which == "full":
         trace, name, command = _cached_full_trace(out, data, oracle), "full_trace.csv", "fullscan"

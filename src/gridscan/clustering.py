@@ -56,12 +56,24 @@ def weighted_distance(x, y, w) -> float:
     return float(np.sqrt(np.sum(w * (x - y) ** 2)))
 
 
+_ROW_BLOCK = 32
+
+
 def _pairwise_dists(A, B) -> np.ndarray:
-    """Row-to-row Euclidean distances, summed attribute by attribute as in ``cdist``."""
+    """Row-to-row Euclidean distances, summed attribute by attribute as in ``cdist``.
+
+    The sum runs over blocks of ``_ROW_BLOCK`` rows of ``A``, so each
+    attribute's squared differences are added while they are still in
+    cache; every entry gets the same additions in the same order.
+    """
     acc = np.zeros((len(A), len(B)))
-    for a, b in zip(A.T, B.T):
-        d = np.subtract.outer(a, b)
-        acc += np.multiply(d, d, out=d)
+    scratch = np.empty((min(len(A), _ROW_BLOCK), len(B)))
+    for lo in range(0, len(A), _ROW_BLOCK):
+        rows = acc[lo:lo + _ROW_BLOCK]
+        d = scratch[:len(rows)]
+        for a, b in zip(A[lo:lo + _ROW_BLOCK].T, B.T):
+            np.subtract.outer(a, b, out=d)
+            rows += np.multiply(d, d, out=d)
     return np.sqrt(acc, out=acc)
 
 
@@ -148,9 +160,12 @@ class _WeightedSpace:
 
     @staticmethod
     def _dists(Xw: np.ndarray, Cw: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """``|Xw - Cw[labels]|`` row by row, over a fresh F-ordered difference."""
-        diff = np.empty(Xw.shape, order="F")
-        np.take(Cw, labels, axis=0, out=diff)
+        """``|Xw - Cw[labels]|`` row by row, over a fresh F-ordered difference.
+
+        The gather runs along the columns of a C-ordered ``Cw.T``, so its
+        transpose is that difference's buffer as written, with no copy.
+        """
+        diff = np.take(np.ascontiguousarray(Cw.T), labels, axis=1).T
         np.subtract(Xw, diff, out=diff)
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

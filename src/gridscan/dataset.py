@@ -265,14 +265,17 @@ def save_csv(ops: OperatingPointSet, path) -> Path:
     The sidecar (``<path>.norm.json``) records per-attribute name, kind and
     raw_min/raw_max so the normalization is reproducible, along with any
     set metadata.
+
+    Data rows are formatted directly: ``repr`` of a float never holds a
+    comma, quote or line break, so they carry the bytes ``csv.writer``
+    would give them, at a fraction of its per-cell cost.
     """
     path = Path(path)
     raw = denormalize(ops)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour"] + ops.attribute_names())
-        for hour, row in zip(ops.timestamps, raw):
-            writer.writerow([int(hour)] + [repr(float(v)) for v in row])
+        csv.writer(fh).writerow(["hour"] + ops.attribute_names())
+        fh.writelines(f"{hour},{','.join(map(repr, row.tolist()))}\r\n"
+                      for hour, row in zip(ops.timestamps.tolist(), raw))
     meta = {
         "attributes": [
             {

@@ -1,8 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import gridscan as gs
 from gridscan import cli, scanning
 from gridscan.cli import main
 from gridscan.oracles import DampingSurrogate
@@ -25,6 +27,18 @@ SMALL_CONFIG = {
 def config_path(tmp_path):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(SMALL_CONFIG))
+    return str(p)
+
+
+@pytest.fixture()
+def csv_config_path(tmp_path, config_path):
+    """The test config with its year read back from ``generate``'s CSV."""
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", config_path, "--out", str(gen)]) == 0
+    config = dict(SMALL_CONFIG, dataset={"csv": str(gen / "dataset.csv")},
+                  oracle={"kind": "two_bus_margin"})
+    p = tmp_path / "csv_config.json"
+    p.write_text(json.dumps(config))
     return str(p)
 
 
@@ -108,6 +122,10 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     ['oracle.b0="abc"'],
     ['oracle.seed="abc"'],
     ['oracle.kind="two_bus_margin"', "oracle.E=-1"],
+    ["oracle.linear=[1]"],
+    ['oracle.linear={"0": 0.5}', "oracle.quadratic=[[0, 1]]"],
+    ['oracle.linear={"0": 0.5}', "oracle.quadratic=[0, 1, 0.2]"],
+    ['oracle.linear={"0": 0.5}', 'oracle.quadratic={"0": 1}'],
 ])
 def test_bad_oracle_value_exits_2(tmp_path, config_path, capsys, overrides):
     argv = ["fullscan", "--config", config_path, "--out", str(tmp_path / "o")]
@@ -115,6 +133,27 @@ def test_bad_oracle_value_exits_2(tmp_path, config_path, capsys, overrides):
         argv += ["--set", entry]
     assert main(argv) == 2
     assert "error: oracle: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fullscan", "fastscan"])
+@pytest.mark.parametrize("overrides, key", [
+    (["oracle.informative=[0, 99]"], "informative"),
+    (['oracle.kind="two_bus_margin"', "oracle.load_columns=[99]"], "load_columns"),
+    (['oracle.kind="two_bus_margin"', "oracle.load_columns=[-1]"], "load_columns"),
+    (['oracle.linear={"0": 0.5, "6": 1.0}'], "linear"),
+    (['oracle.linear={"0": 0.5}', "oracle.quadratic=[[0, 99, 0.2]]"], "quadratic"),
+])
+def test_out_of_range_oracle_index_exits_2(tmp_path, config_path, capsys, command,
+                                           overrides, key):
+    # an index past the 6 attributes is a config error, not a scan of failed calls
+    out = tmp_path / "o"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    for entry in overrides:
+        argv += ["--set", entry]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: oracle: {key} index " in err and "out of range for 6 attributes" in err
+    assert not (out / "full_trace.csv").exists() and not (out / "scan_report.json").exists()
 
 
 def test_select_writes_feature_report(tmp_path, config_path):
@@ -189,15 +228,18 @@ def _manifest_files(out):
     return {name: (out / name).read_bytes() for name in names + ["run_manifest.json"]}
 
 
-def test_staged_run_clusters_once_and_matches_fresh_runs(tmp_path, config_path, capsys,
+def test_staged_run_clusters_once_and_matches_fresh_runs(tmp_path, csv_config_path, capsys,
                                                          monkeypatch):
+    config_path = csv_config_path
     fresh = {}
     for command in ("fastscan", "compare"):
         assert main([command, "--config", config_path, "--out", str(tmp_path / command)]) == 0
         fresh[command] = _manifest_files(tmp_path / command)
     out = tmp_path / "out"
-    for command in ("select", "cluster"):
-        assert main([command, "--config", config_path, "--out", str(out)]) == 0
+    assert main(["select", "--config", config_path, "--out", str(out)]) == 0
+    # later commands read select's parse of the CSV from dataset.npz
+    monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("parsed the CSV again"))
+    assert main(["cluster", "--config", config_path, "--out", str(out)]) == 0
     recorded = json.loads((out / "cluster_model.meta.json").read_text())["clustering_s"]
 
     def recluster(*args, **kwargs):
@@ -210,6 +252,7 @@ def test_staged_run_clusters_once_and_matches_fresh_runs(tmp_path, config_path, 
         assert main([command, "--config", config_path, "--out", str(out)]) == 0
         assert "clustering=reused" in capsys.readouterr().out
         assert _manifest_files(out) == fresh[command], command
+        assert "dataset.npz" not in json.loads((out / "run_manifest.json").read_text())["artifacts"]
         timing = json.loads((out / "timing.json").read_text())
         assert timing["clustering_reused"] is True
         assert timing["timing"]["clustering_s"] == recorded
@@ -254,6 +297,105 @@ def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, d
     assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
     assert "clustering=computed" in capsys.readouterr().out
     assert (out / "cluster_model.json").read_bytes() == model
+
+
+def _odd_year_csv(tmp_path):
+    """A CSV whose parse has every attribute kind, a quoted name, a constant
+    column, signed zeros and hours out of order."""
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(40, 6))
+    raw[:, 4] = 2.5
+    raw[::7, 1] = -0.0
+    names = ["gen01_P", "load01_P", "load01_Q", 'odd, "name"', "hvdc01_Q", "inter01_P"]
+    year = gs.normalize(raw, names)
+    year = gs.OperatingPointSet(year.attributes, year.values, rng.permutation(1000)[:40])
+    return gs.save_csv(year, tmp_path / "odd.csv")
+
+
+def _counted_parses(monkeypatch):
+    parsed = []
+
+    def load_csv(path):
+        parsed.append(path)
+        return gs.load_csv(path)
+
+    monkeypatch.setattr(cli, "load_csv", load_csv)
+    return parsed
+
+
+def _assert_same_bits(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.timestamps.dtype == want.timestamps.dtype
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert [(a.name, a.kind) for a in got.attributes] == [(a.name, a.kind) for a in want.attributes]
+    for a, b in zip(got.attributes, want.attributes):
+        assert np.float64(a.raw_min).tobytes() == np.float64(b.raw_min).tobytes()
+        assert np.float64(a.raw_max).tobytes() == np.float64(b.raw_max).tobytes()
+    assert got.metadata == want.metadata
+
+
+def test_a_run_directory_parses_its_csv_once(tmp_path, monkeypatch):
+    path, out = _odd_year_csv(tmp_path), tmp_path / "out"
+    out.mkdir()
+    config = {"dataset": {"csv": str(path)}}
+    parsed = _counted_parses(monkeypatch)
+    first = cli.build_dataset(config, out)
+    assert (out / "dataset.npz").exists() and (out / "dataset.meta.json").exists()
+    cached = [cli.build_dataset(config, out) for _ in range(2)]
+    assert len(parsed) == 1
+    for data in [first] + cached:
+        _assert_same_bits(data, gs.load_csv(path))
+
+
+def _edit_csv(out, path):
+    path.write_text(path.read_text() + "1001," + ",".join(["1.25"] * 6) + "\r\n")
+
+
+def _drop_attribute_kinds(out, path):
+    # the key still matches; the attributes it records do not rebuild
+    meta = json.loads((out / "dataset.meta.json").read_text())
+    for attribute in meta["attributes"]:
+        del attribute["kind"]
+    (out / "dataset.meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("damage", [
+    _edit_csv,
+    lambda out, path: (out / "dataset.npz").write_bytes(b"not an npz"),
+    lambda out, path: (out / "dataset.npz").write_bytes((out / "dataset.npz").read_bytes()[:-9]),
+    lambda out, path: (out / "dataset.meta.json").write_text("{not json"),
+    lambda out, path: (out / "dataset.meta.json").write_text("[]"),
+    lambda out, path: (out / "dataset.meta.json").write_text('{"k": 1}'),
+    lambda out, path: (out / "dataset.meta.json").unlink(),
+    _drop_attribute_kinds,
+    lambda out, path: setattr(cli, "__version__", "0.0.0"),
+], ids=["edited-csv", "npz-garbage", "npz-truncated", "meta-not-json", "meta-list",
+        "meta-other-key", "meta-deleted", "meta-without-kinds", "other-version"])
+def test_a_changed_csv_or_a_damaged_cache_reparses(tmp_path, monkeypatch, damage):
+    path, out = _odd_year_csv(tmp_path), tmp_path / "out"
+    out.mkdir()
+    config = {"dataset": {"csv": str(path)}}
+    monkeypatch.setattr(cli, "__version__", cli.__version__)  # restored after the test
+    parsed = _counted_parses(monkeypatch)
+    cli.build_dataset(config, out)
+    damage(out, path)
+    data = cli.build_dataset(config, out)
+    assert len(parsed) == 2
+    _assert_same_bits(data, gs.load_csv(path))
+    # the new parse is the cache now
+    _assert_same_bits(cli.build_dataset(config, out), data)
+    assert len(parsed) == 2
+
+
+def test_a_csv_that_fails_to_parse_writes_no_cache(tmp_path, capsys):
+    path, out = tmp_path / "bad.csv", tmp_path / "out"
+    path.write_text("hour,a\n0,1.0\n1,oops\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": {"csv": str(path)}}))
+    assert main(["select", "--config", str(config), "--out", str(out)]) == 2
+    assert (f"error: dataset.csv: {path}: row 3, column 'a': non-numeric cell 'oops'"
+            in capsys.readouterr().err)
+    assert not (out / "dataset.npz").exists() and not (out / "dataset.meta.json").exists()
 
 
 def test_fullscan_then_compare_reuses_cached_trace(tmp_path, config_path, capsys):

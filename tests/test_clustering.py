@@ -534,6 +534,28 @@ def test_ranking_and_dists_at_give_the_full_pass_bits_for_a_lone_row(ranking_cas
         assert lone.dists_at(Cw, labels, np.array([0])).tobytes() == dists.tobytes()
 
 
+def _take_out_dists(Xw, Cw, labels):
+    """``_dists`` with the gather it replaced: ``np.take`` into an F-ordered ``out``."""
+    diff = np.empty(Xw.shape, order="F")
+    np.take(Cw, labels, axis=0, out=diff)
+    np.subtract(Xw, diff, out=diff)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def test_dists_equal_the_take_out_gather_bitwise(ranking_cases, year, year_weights):
+    rng = np.random.default_rng(4)
+    quick_start = _WeightedSpace(year.values, year_weights)
+    cases = ranking_cases + [(quick_start, init_centroids_random(year.values, 67, rng))
+                             for _ in range(20)]
+    for space, C in cases:
+        Cw, _ = space.ranking_rows(C)
+        labels, dists = space.assign(C)
+        assert dists.tobytes() == _take_out_dists(space.Xw, Cw, labels).tobytes()
+        rows = np.sort(rng.choice(len(labels), size=17, replace=False))
+        want = _take_out_dists(space.Xw[rows], Cw, labels[rows])
+        assert space.dists_at(Cw, labels, rows).tobytes() == want.tobytes()
+
+
 def _cluster_means_per_attribute(X, labels, old_centroids):
     """Reference: one bincount per attribute."""
     k = old_centroids.shape[0]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,28 @@ def test_save_then_load_full_year(tmp_path, year):
     back = gs.load_csv(p)
     assert back.n_points == 8760
     assert np.allclose(back.values, year.values, atol=1e-9)
+
+
+def _csv_writer_save(ops, path):
+    """``save_csv``'s data file as ``csv.writer`` writes it, row by row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["hour"] + ops.attribute_names())
+        for hour, row in zip(ops.timestamps, gs.denormalize(ops)):
+            writer.writerow([int(hour)] + [repr(float(v)) for v in row])
+
+
+def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path, year):
+    raw = np.array([[1e-300, -0.0, 5.0, 1e22, 0.1],
+                    [-2.5e-7, 3.0, 5.0, -1e22, 1 / 3],
+                    [7.0, 1.5, 5.0, 0.0, 2 / 3]])
+    odd = gs.normalize(raw, ["gen01_P", 'odd, "quoted" name', "const", "load01_P", "hvdc01_Q"])
+    shifted = gs.OperatingPointSet(odd.attributes, odd.values, [4, 0, 17])
+    for ops in (year, odd, shifted):
+        gs.save_csv(ops, tmp_path / "fast.csv")
+        _csv_writer_save(ops, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert gs.load_csv(tmp_path / "fast.csv").attribute_names()[1] == 'odd, "quoted" name'
 
 
 def test_generate_deterministic():

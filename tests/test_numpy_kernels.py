@@ -17,7 +17,7 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata, spearmanr
 
-from gridscan.clustering import _pairwise_dists
+from gridscan.clustering import _ROW_BLOCK, _pairwise_dists
 from gridscan.relief import _nearest, _ordinal_ranks, _spearman
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,7 +32,10 @@ def assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("m, n, n_attr", [(600, 700, 20), (300, 400, 12), (80, 80, 20),
-                                          (1, 50, 20), (50, 1, 12), (1, 1, 3), (40, 30, 1)])
+                                          (1, 50, 20), (50, 1, 12), (1, 1, 3), (40, 30, 1),
+                                          # a partial last block, and whole blocks only
+                                          (3 * _ROW_BLOCK + 1, 45, 7), (2 * _ROW_BLOCK, 30, 5),
+                                          (_ROW_BLOCK + 1, 750, 20), (0, 5, 3)])
 def test_pairwise_dists_match_cdist_bitwise(m, n, n_attr):
     rng = np.random.default_rng(m * n + n_attr)
     A = rng.uniform(-1.0, 1.0, (m, n_attr))
