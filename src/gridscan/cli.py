@@ -347,12 +347,21 @@ def _write_model(out: Path, model: ClusterModel, data, key: dict):
     _write_keyed(out, "cluster_model.json", key, clustering_s=model.elapsed_s)
 
 
+def _recorded_seconds(meta: dict | None, field: str) -> float | None:
+    """``meta[field]`` as seconds; None without a meta file, or when the
+    field was edited away (the key matches, the record does not)."""
+    try:
+        return float(meta[field])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def _cached_model(out: Path, key: dict) -> ClusterModel | None:
-    meta = _read_keyed(out, "cluster_model.json", key)
-    if meta is None:
+    clustering_s = _recorded_seconds(_read_keyed(out, "cluster_model.json", key), "clustering_s")
+    if clustering_s is None:
         return None
     model = ClusterModel.load_json(out / "cluster_model.json")
-    model.elapsed_s = float(meta["clustering_s"])
+    model.elapsed_s = clustering_s
     return model
 
 
@@ -439,11 +448,12 @@ def cmd_fastscan(args, out: Path, config: dict) -> int:
 
 
 def _cached_full_trace(out: Path, data, oracle) -> StabilityTrace | None:
-    meta = _read_keyed(out, "full_trace.csv", _cache_key(data, oracle))
-    if meta is None:
+    elapsed_s = _recorded_seconds(_read_keyed(out, "full_trace.csv", _cache_key(data, oracle)),
+                                  "elapsed_s")
+    if elapsed_s is None:
         return None
     trace = StabilityTrace.load_csv(out / "full_trace.csv", kind=oracle.kind)
-    trace.elapsed_s = float(meta["elapsed_s"])
+    trace.elapsed_s = elapsed_s
     return trace
 
 

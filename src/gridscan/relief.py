@@ -188,6 +188,7 @@ def rrelieff_pass(
     params: ReliefParams,
     rng: np.random.Generator | None = None,
     sample_indices: np.ndarray | None = None,
+    dists: np.ndarray | None = None,
 ) -> FeatureReport:
     """One RReliefF estimation pass over a training matrix.
 
@@ -210,6 +211,12 @@ def rrelieff_pass(
         drawn without replacement.
     sample_indices : ndarray, optional
         Explicit instance draws overriding the sampler (testing hook).
+    dists : ndarray, shape (n, n), optional
+        The unweighted distances among the rows of X, ``_pairwise_dists(X,
+        X)`` with ``inf`` on its diagonal (the self mask).  Read, never
+        written: a full sweep reads it as it is, a sampled pass gathers
+        the sampled rows.  Without it the pass computes the sampled rows'
+        distances itself, with the same bits.
 
     Raises
     ------
@@ -222,8 +229,9 @@ def rrelieff_pass(
     n, n_attr = X.shape
     if n <= params.k:
         raise ValueError(f"need more than k={params.k} training instances, got {n}")
+    full_sweep = sample_indices is None and params.m >= n
     if sample_indices is None:
-        if params.m >= n:
+        if full_sweep:
             sample_indices = np.arange(n)
         else:
             if rng is None:
@@ -237,8 +245,13 @@ def rrelieff_pass(
     lam_max = float(lam.max())
 
     # Neighbors, self masked out: a partition, then (distance, index) order.
-    D = _pairwise_dists(X[sample_indices], X)
-    D[np.arange(m), sample_indices] = np.inf
+    if dists is None:
+        D = _pairwise_dists(X[sample_indices], X)
+        D[np.arange(m), sample_indices] = np.inf
+    elif dists.shape != (n, n):
+        raise ValueError(f"dists must have shape {(n, n)}, got {dists.shape}")
+    else:
+        D = dists if full_sweep else dists[sample_indices]
     nbr = _nearest(D, params.k)                     # (m, k)
 
     d_rank = neighbor_influence(params.k, params.sigma)   # (k,)
@@ -288,6 +301,22 @@ def adjust_weights(report: FeatureReport, C: float | None = None) -> FeatureRepo
     return replace(report, adjusted_weights=adjusted, adjusted_ranks=adj_ranks)
 
 
+def _add_rows(dists: np.ndarray, X: np.ndarray, seen: int):
+    """Fill rows and columns ``seen:len(X)`` of the distance buffer ``dists``,
+    whose ``[:seen, :seen]`` block already holds the rows before them.
+
+    Each entry is the same per-attribute sum whichever block computes it,
+    and ``(a-b)**2 == (b-a)**2``, so the new columns are the new rows'
+    transpose; the diagonal gets Relief's self mask.
+    """
+    size = len(X)
+    block = _pairwise_dists(X[seen:], X)
+    dists[seen:size, :size] = block
+    dists[:seen, seen:size] = block[:, :seen].T
+    new = np.arange(seen, size)
+    dists[new, new] = np.inf
+
+
 def select_features(
     data,
     oracle,
@@ -311,6 +340,14 @@ def select_features(
     consumed first, the latest report is returned with
     ``converged=False``.
 
+    While the training set has at most ``m`` points every pass is a full
+    sweep, and the distances among the training points are kept from pass
+    to pass in one ``(min(m, n), min(m, n))`` buffer: each batch computes
+    only its own rows, so a pass reads what it would have computed, bit
+    for bit.  Once the training set grows past ``m`` the buffer is dropped
+    and each sampled pass computes its ``m x n`` distances, so memory
+    never scales with the square of the training set.
+
     Each batch is one :func:`~gridscan.oracles.evaluate_many` sweep, so
     ``GRIDSCAN_THREADS`` workers serve it like every other oracle sweep.
     The sweep keeps input order, so the training set and the weights are
@@ -333,6 +370,11 @@ def select_features(
     if cache is None:
         cache = {}
 
+    # Relief's distances among the training rows while every pass is a full
+    # sweep (at most m rows); past m, each sampled pass computes its own.
+    side = min(params.m, n)
+    dists: np.ndarray | None = np.empty((side, side))
+
     report: FeatureReport | None = None
     prev_ranks: np.ndarray | None = None
     prev_scaled: np.ndarray | None = None
@@ -344,19 +386,27 @@ def select_features(
         values = evaluate_many(oracle, X_all[take], catch_failures=True)
         ok = ~np.isnan(values)
         failed += hours[take[~ok]].tolist()
+        seen = len(train_rows)
         train_rows += take[ok].tolist()
         train_lam += values[ok].tolist()
         cache.update(zip(hours[take[ok]].tolist(), values[ok].tolist()))
-        if len(train_rows) <= params.k:
+        size = len(train_rows)
+        X_train = X_all[train_rows]
+        if size <= side:
+            _add_rows(dists, X_train, seen)
+        else:
+            dists = None
+        if size <= params.k:
             continue
 
         passed = rrelieff_pass(
-            X_all[train_rows], np.array(train_lam), params, rng=sampler
+            X_train, np.array(train_lam), params, rng=sampler,
+            dists=None if dists is None else dists[:size, :size],
         )
         passed = replace(
             passed,
             names=tuple(data.attribute_names()),
-            training_size=len(train_rows),
+            training_size=size,
             failed_hours=tuple(failed),
         )
         report = adjust_weights(passed, C)

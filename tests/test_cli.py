@@ -299,6 +299,31 @@ def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, d
     assert (out / "cluster_model.json").read_bytes() == model
 
 
+@pytest.mark.parametrize("meta_file, field, printed", [
+    ("cluster_model.meta.json", "clustering_s", "clustering=computed"),
+    ("full_trace.meta.json", "elapsed_s", "cached=False"),
+])
+def test_a_key_file_without_its_recorded_field_is_no_cache(tmp_path, config_path, capsys,
+                                                           meta_file, field, printed):
+    # the edited key file must act as a deleted one
+    out, unkeyed = tmp_path / "out", tmp_path / "unkeyed"
+    for path in (out, unkeyed):
+        assert main(["cluster", "--config", config_path, "--out", str(path)]) == 0
+        assert main(["fullscan", "--config", config_path, "--out", str(path)]) == 0
+    meta = json.loads((out / meta_file).read_text())
+    del meta[field]
+    (out / meta_file).write_text(json.dumps(meta, indent=2))
+    (unkeyed / meta_file).unlink()
+    capsys.readouterr()
+    outputs = ""
+    for command in ("fastscan", "compare"):
+        assert main([command, "--config", config_path, "--out", str(out)]) == 0
+        outputs += capsys.readouterr().out
+        assert main([command, "--config", config_path, "--out", str(unkeyed)]) == 0
+        assert _manifest_files(out) == _manifest_files(unkeyed), command
+    assert printed in outputs
+
+
 def _odd_year_csv(tmp_path):
     """A CSV whose parse has every attribute kind, a quoted name, a constant
     column, signed zeros and hours out of order."""

@@ -66,6 +66,28 @@ def test_pairwise_dists_match_cdist_on_sqrt_weighted_centroids(n_attr):
     assert_same_bits(_pairwise_dists(Cw, Cw), cdist(Cw, Cw))
 
 
+# Relief's distance buffer grows by blocks of new rows and fills the new
+# columns with their transpose; both rest on the two equalities below.
+
+
+@pytest.mark.parametrize("m, n, n_attr", [(75, 600, 20), (3 * _ROW_BLOCK + 5, 2 * _ROW_BLOCK, 12),
+                                          (1, 40, 7), (33, 33, 1)])
+def test_pairwise_dists_transpose_bitwise(m, n, n_attr):
+    rng = np.random.default_rng(m + n)
+    A = rng.uniform(-1.0, 1.0, (m, n_attr))
+    B = rng.uniform(-1.0, 1.0, (n, n_attr))
+    assert_same_bits(_pairwise_dists(A, B), _pairwise_dists(B, A).T.copy())
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 75), (75, 150), (600, 675), (17, 17 + _ROW_BLOCK + 3),
+                                    (5, 6), (675, 700)])
+def test_pairwise_dists_row_block_matches_full_matrix(lo, hi):
+    rng = np.random.default_rng(hi)
+    X = rng.uniform(-1.0, 1.0, (700, 20))
+    assert_same_bits(_pairwise_dists(X[lo:hi], X), _pairwise_dists(X, X)[lo:hi])
+    assert_same_bits(_pairwise_dists(X[lo:hi], X[:hi]), _pairwise_dists(X[:hi], X[:hi])[lo:hi])
+
+
 # ── neighbor search ──────────────────────────────────────────────────────
 
 

@@ -1,13 +1,18 @@
+import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gridscan as gs
+from gridscan import relief
+from gridscan.clustering import _pairwise_dists
 from gridscan.oracles import StabilityOracle
 from gridscan.relief import (
     DegeneratePredictionError,
+    FeatureReport,
     ReliefParams,
     adjust_weights,
     attribute_diff,
@@ -119,6 +124,27 @@ def test_pass_matches_reference_loop(rng):
     rep = rrelieff_pass(X, lam, ReliefParams(m=12, k=4, sigma=2.0), sample_indices=sample)
     expected = reference_pass(X, lam, k=4, sigma=2.0, sample_indices=sample)
     assert np.allclose(rep.weights, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, explicit", [(200, False), (90, False), (40, True)])
+def test_pass_given_distances_matches_computing_them(rng, m, explicit):
+    # a full sweep, a sampled pass and explicit draws, each with and without
+    # the training set's distances (inf diagonal); the given matrix is read only
+    X = rng.uniform(-1, 1, size=(150, 6))
+    lam = X[:, 1] + 0.3 * X[:, 4] ** 2
+    dists = _pairwise_dists(X, X)
+    np.fill_diagonal(dists, np.inf)
+    dists.flags.writeable = False
+    params = ReliefParams(m=m, k=7)
+    sample = rng.choice(150, size=m, replace=False) if explicit else None
+    got, want = [
+        rrelieff_pass(X, lam, params, rng=np.random.default_rng(3), sample_indices=sample,
+                      dists=given)
+        for given in (dists, None)
+    ]
+    assert got.weights.tobytes() == want.weights.tobytes()
+    with pytest.raises(ValueError, match="dists must have shape"):
+        rrelieff_pass(X, lam, params, dists=dists[:100, :100])
 
 
 def test_pass_dominant_feature_ranked_first():
@@ -395,3 +421,89 @@ def test_report_serialization(tmp_path, year, year_oracle):
     assert payload["training_size"] == rep.training_size
     ranks = sorted(row["rank"] for row in payload["attributes"])
     assert ranks == list(range(1, year.n_attributes + 1))
+
+
+# ── distances kept from pass to pass ─────────────────────────────────────
+
+
+def _select_twice(monkeypatch, data, oracle, params=ReliefParams()):
+    """select_features as it runs, and with every pass computing its own
+    distances; the distances each cached pass was given are recorded."""
+    original = relief.rrelieff_pass
+    given = []
+
+    def recording(*args, dists=None, **kwargs):
+        given.append(dists is not None)
+        return original(*args, dists=dists, **kwargs)
+
+    def recomputing(*args, dists=None, **kwargs):
+        return original(*args, **kwargs)
+
+    runs = []
+    for stand_in in (recording, recomputing):
+        monkeypatch.setattr(relief, "rrelieff_pass", stand_in)
+        cache = {}
+        runs.append((gs.select_features(data, oracle, params, seed=0, cache=cache), cache))
+    (cached, cached_cache), (reference, reference_cache) = runs
+    for field in dataclasses.fields(FeatureReport):
+        got, want = getattr(cached, field.name), getattr(reference, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+        else:
+            assert got == want, field.name
+    assert list(cached_cache.items()) == list(reference_cache.items())
+    return cached, given
+
+
+def test_select_with_kept_distances_matches_recomputing_on_a_full_sweep(year, year_oracle,
+                                                                        monkeypatch):
+    rep, given = _select_twice(monkeypatch, year, year_oracle)
+    assert rep.converged and rep.training_size <= ReliefParams().m
+    assert all(given)
+
+
+def test_select_with_kept_distances_matches_recomputing_past_m(year, year_oracle, monkeypatch):
+    rep, given = _select_twice(monkeypatch, year, year_oracle, ReliefParams(m=100))
+    assert rep.training_size > 100
+    # full sweeps read the kept distances; sampled passes past m compute their own
+    assert given[0] and not any(given[1:])
+
+
+def test_select_with_kept_distances_matches_recomputing_with_failed_hours(monkeypatch):
+    data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=900, n_attributes=8, seed=4))
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=101)
+    bad_points = {data.values[i].tobytes() for i in range(3, 900, 7)}
+
+    class NanReturning(StabilityOracle):
+        def _evaluate(self, point):
+            return math.nan if point.tobytes() in bad_points else base._evaluate(point)
+
+    rep, given = _select_twice(monkeypatch, data, NanReturning())
+    assert rep.failed_hours and all(given)
+
+
+def test_select_with_kept_distances_matches_recomputing_without_convergence(monkeypatch):
+    data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=400, n_attributes=6, seed=2))
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=5)
+    params = ReliefParams(rho_threshold=1.0, epsilon_f=0.0)
+    rep, given = _select_twice(monkeypatch, data, oracle, params)
+    assert not rep.converged and rep.training_size == data.n_points
+    assert all(given)
+
+
+def test_select_memory_stays_at_the_scale_of_m_times_n():
+    # a selection that never converges consumes all 3000 points; the kept
+    # distances stop at m rows, so the peak is a few m x n passes, far
+    # below one n x n matrix (72 MB)
+    n, m = 3000, 200
+    data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=n, seed=6))
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=8)
+    params = ReliefParams(m=m, rho_threshold=1.0, epsilon_f=0.0)
+    tracemalloc.start()
+    try:
+        rep = gs.select_features(data, oracle, params, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.converged and rep.training_size == n
+    assert peak < 4 * m * n * 8
