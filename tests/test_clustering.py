@@ -610,9 +610,12 @@ def test_k_above_distinct_points_is_a_clear_error():
 
 
 def test_inertia_endpoints():
-    params = PsoParams(n_iter=40, w_max=0.9, w_min=0.4)
+    # steps 0..n_iter-1 run: the first uses w_max and the last stops one
+    # decrement short of w_min, which only a step n_iter would use
+    params = PsoParams(n_iter=10, w_max=0.9, w_min=0.4)
     assert inertia_weight(0, params) == 0.9
-    assert abs(inertia_weight(40, params) - 0.4) < 1e-15
+    assert abs(inertia_weight(9, params) - 0.45) < 1e-15
+    assert abs(inertia_weight(10, params) - 0.4) < 1e-15
 
 
 def test_velocity_update_fixed_point():

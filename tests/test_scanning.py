@@ -72,17 +72,29 @@ def test_fast_scan_nan_at_a_centroid_raises():
         gs.fast_scan(data, OffDataNan(), small_config())
 
 
+def assert_quick_start_outputs(report, k_final, calls, mape, results_hash):
+    assert report.k_final == k_final
+    assert report.oracle_evaluations == calls
+    assert round(report.mape, 4) == mape
+    # the benchmark's results hash: every centroid and imputed index to
+    # the bit, with numpy 2.4.6 and OpenBLAS 0.3.31
+    digest = hashlib.sha256(report.model.centroids.tobytes())
+    digest.update(report.lambda_hat.tobytes())
+    assert digest.hexdigest()[:16] == results_hash
+
+
 def test_readme_quick_start_outputs(default_scan):
     # the README quick start; a change that drifts the clustering's bits
     # usually moves one of these
-    assert default_scan.k_final == 83
-    assert default_scan.oracle_evaluations == 683
-    assert round(default_scan.mape, 4) == 0.0180
-    # the benchmark's results hash: every centroid and imputed index to
-    # the bit, with numpy 2.4.6 and OpenBLAS 0.3.31
-    digest = hashlib.sha256(default_scan.model.centroids.tobytes())
-    digest.update(default_scan.lambda_hat.tobytes())
-    assert digest.hexdigest()[:16] == "f0947f173706b9f6"
+    assert_quick_start_outputs(default_scan, 83, 683, 0.0166, "0dcdab470d082359")
+
+
+def test_quick_start_outputs_at_the_old_swarm_budget(year, year_oracle):
+    # a 20 x 50 swarm set through the config keeps its outputs to the bit:
+    # the default budget moved, the swarm did not
+    config = ScanConfig(pso=PsoParams(swarm_size=20, n_iter=50))
+    report = gs.validate(gs.fast_scan(year, year_oracle, config), year, year_oracle, 500, seed=7)
+    assert_quick_start_outputs(report, 83, 683, 0.0180, "f0947f173706b9f6")
 
 
 def test_fast_scan_lambda_hat_piecewise_constant():
