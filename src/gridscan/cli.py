@@ -419,12 +419,15 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
             "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
-def _validate(report, data, oracle, scan: ScanConfig):
+def _validate(report, data, oracle, scan: ScanConfig, known=None):
     """``validate`` on ``scan.sample_size`` hours, capped at the hours with a
-    known index (all of them, or the finite ones of a partial full scan)."""
+    known index (all of them, or the finite ones of a partial full scan).
+    ``known``, a full trace of the run directory, spares the oracle calls
+    at the hours it holds."""
     failed = () if report.full_trace is None else report.full_trace.failed_hours
-    known = data.n_points - len(failed)
-    return validate(report, data, oracle, min(scan.sample_size, known), seed=scan.seed)
+    n_known = data.n_points - len(failed)
+    return validate(report, data, oracle, min(scan.sample_size, n_known), seed=scan.seed,
+                    known=known)
 
 
 def _clustering_flag(model) -> str:
@@ -436,7 +439,7 @@ def cmd_fastscan(args, out: Path, config: dict) -> int:
     key = _cache_key(data, oracle, scan)
     model = _cached_model(out, key)
     report = fast_scan(data, oracle, scan, cached_model=model)
-    report = _validate(report, data, oracle, scan)
+    report = _validate(report, data, oracle, scan, known=_cached_full_trace(out, data, oracle))
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     write_manifest(out, "fastscan", config, artifacts)
     print(

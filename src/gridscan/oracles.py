@@ -246,6 +246,11 @@ class StabilityTrace:
     def partial(self) -> bool:
         return bool(np.isnan(self.lam).any())
 
+    def require_hours(self, hours, what: str):
+        """Raise ``ValueError`` unless the trace covers exactly ``hours``, in order."""
+        if not np.array_equal(self.hours, hours):
+            raise ValueError(f"{what} trace covers other hours than the dataset")
+
     def save_csv(self, path) -> Path:
         path = Path(path)
         lines = ["hour,lambda"]
@@ -283,7 +288,7 @@ class StabilityTrace:
         return cls(hours=np.array(hours), lam=np.array(lam), kind=kind)
 
 
-def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:
+def evaluate_many(oracle, points, catch_failures: bool = False, names=None) -> np.ndarray:
     """Evaluate the oracle at each point, optionally in worker threads.
 
     Thread count comes from GRIDSCAN_THREADS (default 1: sequential).
@@ -293,7 +298,8 @@ def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:
     raised an ``Exception`` or returned a non-finite value.  With
     ``catch_failures`` a failed call is NaN in the returned array.
     Without it the exception propagates, and a non-finite value raises
-    ``ValueError`` naming the point's position.
+    ``ValueError`` naming the point: ``names[pos]`` when given (say, the
+    point's hour), else ``point <pos>``.
     """
     points = np.asarray(points, dtype=float)
 
@@ -301,7 +307,8 @@ def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:
         try:
             value = float(oracle(point))
             if not math.isfinite(value):
-                raise ValueError(f"oracle returned {value} at point {pos}")
+                name = f"point {pos}" if names is None else names[pos]
+                raise ValueError(f"oracle returned {value} at {name}")
         except Exception:
             if catch_failures:
                 return math.nan
@@ -320,14 +327,15 @@ def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTr
 
     A failed call leaves NaN at its hour (the trace is then partial), and
     the wall-clock time for the sweep lands in ``elapsed_s``.  With
-    ``resume``, an earlier trace of the same hours, only its NaN hours are
-    evaluated; the rest keep its values, and ``elapsed_s`` is its recorded
-    time plus this sweep's.
+    ``resume``, a trace of the same hours holding the values already paid
+    for (an earlier scan's, or the feature selection's that
+    ``compare_full_vs_fast`` seeds it with), only its NaN hours are
+    evaluated; the rest keep its values, and ``elapsed_s`` is its
+    recorded time plus this sweep's.
     """
     lam, rows, elapsed = np.full(data.n_points, math.nan), np.arange(data.n_points), 0.0
     if resume is not None:
-        if not np.array_equal(resume.hours, data.timestamps):
-            raise ValueError("resumed trace covers other hours than the dataset")
+        resume.require_hours(data.timestamps, "resumed")
         lam = resume.lam.copy()
         rows = np.flatnonzero(np.isnan(lam))
         elapsed = resume.elapsed_s

@@ -249,7 +249,20 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     )
 
 
-def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0) -> ScanReport:
+def _held_values(report: ScanReport, rows, trace: StabilityTrace | None = None) -> np.ndarray:
+    """The oracle values the run already holds at ``rows`` of its hours:
+    the trace's where finite, else feature selection's; NaN where neither
+    has one."""
+    held = np.array([report.training_lambdas.get(h, np.nan)
+                     for h in report.hours[rows].tolist()], dtype=float)
+    if trace is None:
+        return held
+    lam = trace.lam[rows]
+    return np.where(np.isnan(lam), held, lam)
+
+
+def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
+             known: StabilityTrace | None = None) -> ScanReport:
     """Error statistics of the fast scan on a random hour sample.
 
     Hours consumed by feature selection are excluded from the draw (their
@@ -260,15 +273,23 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0) 
     failed) are left out of the draw and counted in
     ``validation_excluded``.
 
+    Without one, a sampled hour takes its true value from ``known`` (a
+    full-scan trace of the same hours, say a run directory's) where that
+    is finite, then from the selection's values, and only then from the
+    oracle; a non-finite oracle value raises ``ValueError`` naming the
+    hour.  ``known`` never changes the draw, only where values come from.
+
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
     to the absolute error and are flagged.  The histogram uses
     1-percentage-point bins.
     """
     hours = report.hours
-    known = np.ones(len(hours), dtype=bool)
+    if known is not None:
+        known.require_hours(hours, "known")
+    resolved = np.ones(len(hours), dtype=bool)
     if report.lambda_full is not None:
-        known = np.isfinite(report.lambda_full)
-    n_known = int(known.sum())
+        resolved = np.isfinite(report.lambda_full)
+    n_known = int(resolved.sum())
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     if sample_size > n_known:
@@ -278,24 +299,23 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0) 
     rng = np.random.default_rng(seed)
 
     trained = np.isin(hours, np.fromiter(report.training_lambdas, dtype=int, count=len(report.training_lambdas)))
-    eligible = np.flatnonzero(~trained & known)
+    eligible = np.flatnonzero(~trained & resolved)
     if sample_size <= len(eligible):
         picked = rng.choice(eligible, size=sample_size, replace=False)
     else:
         extra = rng.choice(
-            np.flatnonzero(trained & known), size=sample_size - len(eligible), replace=False
+            np.flatnonzero(trained & resolved), size=sample_size - len(eligible), replace=False
         )
         picked = np.concatenate([eligible, extra])
     picked.sort()
 
-    if report.lambda_full is not None:
-        true_vals = report.lambda_full[picked]
-    else:
-        true_vals = np.array([report.training_lambdas.get(h, np.nan)
-                              for h in hours[picked].tolist()])
-        fresh = np.isnan(true_vals)
-        if fresh.any():
-            true_vals[fresh] = evaluate_many(oracle, data.values[picked[fresh]])
+    trace = known if report.full_trace is None else report.full_trace
+    true_vals = _held_values(report, picked, trace)
+    fresh = np.isnan(true_vals)
+    if fresh.any():
+        rows = picked[fresh]
+        true_vals[fresh] = evaluate_many(oracle, data.values[rows],
+                                         names=[f"hour {h}" for h in hours[rows].tolist()])
 
     samples = []
     for slot, idx in enumerate(picked):
@@ -395,17 +415,36 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
     """Run both paths and report the wall-clock speed-up.
 
     speed-up = full_scan_s / (feature_selection_s + clustering_s +
-    centroid_eval_s).  A cached full-scan trace (with its recorded elapsed
-    time) can substitute for re-running the exhaustive sweep; of a partial
-    one only the failed hours are evaluated again; the report keeps the
-    trace as ``full_trace``.  ``cached_model`` is passed to
-    :func:`fast_scan`.
+    centroid_eval_s).  The exhaustive scan sweeps only the hours whose
+    value the run does not hold yet: feature selection has paid for its
+    training hours, and the oracle is pure, so their values are the ones
+    a sweep would return, bit for bit.  ``full_scan_s`` still stands for
+    a sweep of every hour: each reused hour is charged the sweep's mean
+    time per hour (the selection draws its hours uniformly), or, when
+    the selection holds every hour, the selection's own time.  The trace
+    records that time as its ``elapsed_s``.
+
+    A cached full-scan trace (with its recorded elapsed time) can
+    substitute for the sweep; of a partial one only the hours that
+    neither it nor the selection holds are evaluated, and its time is the
+    recorded one plus theirs.  A cached trace of other hours than the
+    dataset's raises ``ValueError``.  The report keeps the trace as
+    ``full_trace``.  ``cached_model`` is passed to :func:`fast_scan`.
     """
+    if cached_full is not None:
+        cached_full.require_hours(data.timestamps, "cached")
     report = fast_scan(data, oracle, config, cached_model=cached_model)
-    if cached_full is None or cached_full.partial:
-        trace = full_scan(data, oracle, resume=cached_full)
-    else:
+    if cached_full is not None and not cached_full.partial:
         trace = cached_full
+    else:
+        lam = _held_values(report, slice(None), cached_full)
+        elapsed_s = 0.0 if cached_full is None else cached_full.elapsed_s
+        trace = full_scan(data, oracle, resume=StabilityTrace(
+            hours=data.timestamps, lam=lam, kind="held", elapsed_s=elapsed_s))
+        if cached_full is None:
+            swept = int(np.isnan(lam).sum())
+            trace.elapsed_s = (trace.elapsed_s * data.n_points / swept if swept
+                               else report.timing["feature_selection_s"])
     fast_total = (
         report.timing["feature_selection_s"]
         + report.timing["clustering_s"]

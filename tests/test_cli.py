@@ -439,6 +439,25 @@ def test_fullscan_then_compare_reuses_cached_trace(tmp_path, config_path, capsys
     assert timing["speedup"] is not None
 
 
+def test_fastscan_validates_from_fullscans_trace(tmp_path, config_path, monkeypatch):
+    build, built = cli.build_oracle, []
+
+    def counted(config, data):
+        built.append(build(config, data))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_oracle", counted)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(["fastscan", "--config", config_path, "--out", str(fresh)]) == 0
+    paid = json.loads((fresh / "scan_report.json").read_text())["oracle_evaluations"]
+    assert built[-1].eval_count > paid  # validation called the oracle
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    # selection and centroids only: every sampled hour came from full_trace.csv
+    assert built[-1].eval_count == paid
+    assert _manifest_files(out) == _manifest_files(fresh)
+
+
 def test_compare_without_cache_writes_trace(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["compare", "--config", config_path, "--out", str(out)]) == 0

@@ -1,11 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gridscan as gs
 from gridscan.clustering import AdaptiveParams, PsoParams
-from gridscan.oracles import StabilityOracle
+from gridscan.oracles import THREADS_ENV, StabilityOracle
 from gridscan.relief import ReliefParams
 from gridscan.scanning import ScanConfig
 
@@ -297,6 +298,60 @@ def test_validate_skips_failed_hours_of_a_partial_full_trace():
         gs.validate(report, data, oracle, data.n_points, seed=2)
 
 
+def test_validate_reads_a_known_trace_before_calling_the_oracle():
+    # a run directory's full trace spares every validation call; the draw
+    # and every reported value stay what the oracle would have given
+    data = small_year(n=1000)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    report = gs.fast_scan(data, oracle, small_config())
+    assert report.training_size < data.n_points - 50
+    trace = gs.full_scan(data, oracle)
+    fresh = gs.validate(report, data, oracle, 50, seed=5)
+    count = oracle.eval_count
+    reused = gs.validate(report, data, oracle, 50, seed=5, known=trace)
+    assert oracle.eval_count == count
+    assert reused.to_dict() == fresh.to_dict()
+
+
+def test_validate_calls_the_oracle_where_the_known_trace_has_no_value():
+    data = small_year(n=1000)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    report = gs.fast_scan(data, oracle, small_config())
+    fresh = gs.validate(report, data, oracle, 50, seed=5)
+    free = [s.hour for s in fresh.validation if s.hour not in report.training_lambdas]
+    holes = free[:7]
+    assert len(holes) == 7
+    trace = gs.full_scan(data, oracle)
+    trace.lam[holes] = np.nan
+    count = oracle.eval_count
+    reused = gs.validate(report, data, oracle, 50, seed=5, known=trace)
+    assert oracle.eval_count - count == len(holes)
+    assert reused.to_dict() == fresh.to_dict()
+    with pytest.raises(ValueError, match="covers other hours than the dataset"):
+        gs.validate(report, data, oracle, 50, known=gs.StabilityTrace(
+            hours=np.arange(data.n_points + 1), lam=np.zeros(data.n_points + 1), kind="t"))
+
+
+def test_validate_names_the_hour_where_the_oracle_returns_nan():
+    # the error names the hour, not its place among the fresh draws
+    data = small_year(n=1000)
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    bad = set()
+
+    class Holes(StabilityOracle):
+        def _evaluate(self, point):
+            return float("nan") if point.tobytes() in bad else base._evaluate(point)
+
+    oracle = Holes()
+    report = gs.fast_scan(data, oracle, small_config())
+    free = [int(h) for h in data.timestamps if int(h) not in report.training_lambdas]
+    hour = free[-1]
+    assert free.index(hour) != hour
+    bad.add(data.values[hour].tobytes())
+    with pytest.raises(ValueError, match=rf"^oracle returned nan at hour {hour}$"):
+        gs.validate(report, data, oracle, len(free), seed=1)
+
+
 def test_compare_keeps_its_full_trace_with_the_failed_hours():
     data = small_year()
     base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
@@ -421,6 +476,97 @@ def test_compare_accepts_cached_trace():
     # exhaustive sweep happens
     assert oracle.eval_count - count == report.oracle_evaluations
     assert np.array_equal(report.lambda_full, trace.lam)
+
+
+def test_compare_pays_for_each_hour_once():
+    # a fresh compare sweeps only the hours the selection holds no value
+    # for: the ones it never drew and the ones where its call failed
+    data = small_year(n=400)
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    bad_rows = tuple(range(0, data.n_points, 9))
+    bad = {data.values[i].tobytes() for i in bad_rows}
+    calls = []
+
+    def oracle(point):
+        calls.append(1)
+        return float("nan") if point.tobytes() in bad else base(point)
+
+    report = gs.compare_full_vs_fast(data, oracle, small_config())
+    failed = report.feature_report.failed_hours
+    assert failed and report.training_size + len(failed) < data.n_points
+    assert len(calls) == data.n_points + report.k_final + len(failed)
+    assert report.full_trace.failed_hours == bad_rows
+    assert report.timing["full_scan_s"] == report.full_trace.elapsed_s
+    t = report.timing
+    assert report.speedup == t["full_scan_s"] / (
+        t["feature_selection_s"] + t["clustering_s"] + t["centroid_eval_s"])
+
+
+def test_compare_trace_and_artifacts_equal_an_independent_full_scan(tmp_path):
+    data = small_year(n=400)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    report = gs.validate(gs.compare_full_vs_fast(data, oracle, small_config()),
+                         data, oracle, 50, seed=5)
+    assert report.training_size < data.n_points
+    independent = replace(report, full_trace=gs.full_scan(data, oracle))
+    assert report.lambda_full.tobytes() == independent.lambda_full.tobytes()
+    assert report.to_dict() == independent.to_dict()
+    a = report.save_trace_csv(tmp_path / "a.csv")
+    b = independent.save_trace_csv(tmp_path / "b.csv")
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_compare_charges_each_reused_hour_at_the_sweeps_mean_time(monkeypatch):
+    # every call sleeps 5 ms, so a sequential sweep of every hour takes at
+    # least n x 5 ms; the extrapolated time must not undercut that
+    monkeypatch.setenv(THREADS_ENV, "1")
+    data = small_year(n=400)
+    oracle = gs.DampingSurrogate.from_seed(
+        data.metadata["informative_indices"], seed=7, delay_ms=5.0
+    )
+    report = gs.compare_full_vs_fast(data, oracle, small_config())
+    assert 0 < report.training_size < data.n_points
+    assert report.timing["full_scan_s"] >= data.n_points * 0.005
+
+
+def test_compare_resumes_a_partial_trace_at_the_hours_nobody_holds():
+    data = small_year(n=400)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    trained = set(gs.fast_scan(data, oracle, small_config()).training_lambdas)
+    full = gs.full_scan(data, oracle)
+    holes = list(range(0, data.n_points, 7))
+    missing = [h for h in holes if h not in trained]
+    assert missing and len(missing) < len(holes)
+    cached = gs.StabilityTrace(hours=full.hours, lam=full.lam.copy(), kind="t", elapsed_s=3.0)
+    cached.lam[holes] = np.nan
+    count = oracle.eval_count
+    report = gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=cached)
+    assert oracle.eval_count - count == report.oracle_evaluations + len(missing)
+    assert report.lambda_full.tobytes() == full.lam.tobytes()
+    assert report.timing["full_scan_s"] == report.full_trace.elapsed_s > 3.0
+
+
+def test_compare_charges_the_selection_time_when_it_holds_every_hour():
+    data = small_year(n=50)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    config = small_config(eps_d=1e-12, eps_c=1e-13, max_outer=100)
+    result = gs.compare_full_vs_fast(data, oracle, config)
+    assert len(result.training_lambdas) == data.n_points
+    assert oracle.eval_count == data.n_points + result.k_final
+    assert result.timing["full_scan_s"] == result.timing["feature_selection_s"]
+    assert result.full_trace.elapsed_s == result.timing["full_scan_s"]
+    assert result.speedup <= 1.0
+
+
+@pytest.mark.parametrize("hours", [np.arange(300), np.arange(240) + 1],
+                         ids=["more-hours", "shifted-hours"])
+def test_compare_rejects_a_cached_trace_of_other_hours(hours):
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    cached = gs.StabilityTrace(hours=hours, lam=np.ones(len(hours)), kind="t", elapsed_s=1.0)
+    with pytest.raises(ValueError, match="covers other hours than the dataset"):
+        gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=cached)
+    assert oracle.eval_count == 0
 
 
 def test_scan_report_serialization(tmp_path):
