@@ -15,7 +15,9 @@ computed from; they are reused only while that key matches.  A dataset
 CSV is parsed once per ``--out``: the parse is kept in ``dataset.npz``,
 keyed by the program version and the CSV's bytes.
 
-Exit codes: 0 success, 2 config/validation error, 3 finished with
+Exit codes: 0 success, 2 config/validation error or a dataset the
+pipeline cannot scan (Relief's neighbours all share one stability index,
+or ``k_init`` exceeds the distinct points), 3 finished with
 non-convergence flags.
 """
 
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import ClusterModel
+from .clustering import ClusterModel, TooFewPointsError
 from .clustering import self_adaptive_pso_kmeans  # noqa: F401  uncalled; perfbench spans wrap it
 from .dataset import (
     Attribute,
@@ -44,6 +46,7 @@ from .dataset import (
     save_csv,
 )
 from .oracles import DampingSurrogate, StabilityTrace, TwoBusMargin, full_scan
+from .relief import DegeneratePredictionError
 from .relief import select_features  # noqa: F401  uncalled; perfbench spans wrap it
 from .scanning import (
     ScanConfig,
@@ -544,7 +547,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out, config)
-    except ConfigError as exc:
+    except (ConfigError, DegeneratePredictionError, TooFewPointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

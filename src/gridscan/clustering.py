@@ -429,6 +429,10 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER, *,
     )
 
 
+class TooFewPointsError(ValueError):
+    """More initial centroids asked for than the data has (distinct) points."""
+
+
 def init_centroids_random(X, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct data points drawn uniformly at random."""
     X = np.asarray(X, dtype=float)
@@ -442,7 +446,7 @@ def init_centroids_random(X, k: int, rng: np.random.Generator) -> np.ndarray:
         chosen.append(X[idx])
         if len(chosen) == k:
             return np.array(chosen)
-    raise ValueError(f"only {len(seen)} distinct points, cannot seed k={k}")
+    raise TooFewPointsError(f"only {len(seen)} distinct points, cannot seed k={k}")
 
 
 @dataclass(frozen=True)
@@ -711,7 +715,7 @@ def self_adaptive_pso_kmeans(
     space = _WeightedSpace(X, w)
     k_init = adapt.k_init if adapt.k_init is not None else default_k_init(n)
     if k_init > n:
-        raise ValueError(f"k_init={k_init} exceeds the number of points {n}")
+        raise TooFewPointsError(f"k_init={k_init} exceeds the number of points {n}")
 
     rng = np.random.default_rng(seed)
     swarm = init_swarm(space, k_init, params=pso, rng=rng)

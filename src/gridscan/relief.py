@@ -165,11 +165,36 @@ def neighbor_influence(k: int, sigma: float) -> np.ndarray:
 
 
 def _nearest(D: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k smallest entries of each row of D, ordered by
-    (distance, index): the first k columns of a stable row argsort."""
-    rows, cols = np.nonzero(D <= np.partition(D, k - 1, axis=1)[:, k - 1 : k])
-    order = np.lexsort((cols, D[rows, cols], rows))
-    return cols[order][np.searchsorted(rows, np.arange(len(D)))[:, None] + np.arange(k)]
+    """Column positions of the k smallest entries of each row of D, ordered
+    by (value, position): the first k columns of a stable row argsort.
+    D needs at least k columns.
+
+    A partition at the (k+1)-th smallest value leaves some k smallest
+    entries in front.  Where the largest of them is below the (k+1)-th,
+    they are the only k smallest, and a stable value sort of them, taken
+    in position order, orders them.  Rows that tie across the k-th place
+    (duplicated points) take the full path instead: every entry up to the
+    k-th value, sorted by (row, value, position).
+
+    Positions are the order of D's columns.  Where those are the training
+    indices (rows of ``_pairwise_dists`` against the training set) this
+    is (distance, index) order; :func:`_grow_neighbors` lays out its
+    candidate columns so that it still is.
+    """
+    if k == D.shape[1]:
+        return np.argsort(D, axis=1, kind="stable")
+    part = np.argpartition(D, k, axis=1)
+    pos = np.sort(part[:, :k], axis=1)
+    vals = np.take_along_axis(D, pos, axis=1)
+    kth = vals.max(axis=1)
+    pos = np.take_along_axis(pos, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    tied = np.flatnonzero(kth == np.take_along_axis(D, part[:, k : k + 1], axis=1)[:, 0])
+    if len(tied):
+        T = D[tied]
+        rows, cols = np.nonzero(T <= kth[tied, None])
+        order = np.lexsort((cols, T[rows, cols], rows))
+        pos[tied] = cols[order][np.searchsorted(rows, np.arange(len(T)))[:, None] + np.arange(k)]
+    return pos
 
 
 def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
@@ -188,7 +213,7 @@ def rrelieff_pass(
     params: ReliefParams,
     rng: np.random.Generator | None = None,
     sample_indices: np.ndarray | None = None,
-    dists: np.ndarray | None = None,
+    neighbors: np.ndarray | None = None,
 ) -> FeatureReport:
     """One RReliefF estimation pass over a training matrix.
 
@@ -211,12 +236,15 @@ def rrelieff_pass(
         drawn without replacement.
     sample_indices : ndarray, optional
         Explicit instance draws overriding the sampler (testing hook).
-    dists : ndarray, shape (n, n), optional
-        The unweighted distances among the rows of X, ``_pairwise_dists(X,
-        X)`` with ``inf`` on its diagonal (the self mask).  Read, never
-        written: a full sweep reads it as it is, a sampled pass gathers
-        the sampled rows.  Without it the pass computes the sampled rows'
-        distances itself, with the same bits.
+    neighbors : ndarray of int, shape (n, k), optional
+        Each row's k nearest other rows of X in (distance, index) order,
+        as :func:`_nearest` gives them on ``_pairwise_dists(X, X)`` with
+        ``inf`` on its diagonal (the self mask).  Read, never written: a
+        full sweep reads it as it is, a sampled pass gathers the sampled
+        rows.  Without it the pass computes the sampled rows' distances
+        and lists itself, with the same bits.  :func:`select_features`
+        passes the lists it grows batch by batch while every pass is a
+        full sweep, and none once the training set outgrows ``m``.
 
     Raises
     ------
@@ -244,15 +272,15 @@ def rrelieff_pass(
     lam_min = float(lam.min())
     lam_max = float(lam.max())
 
-    # Neighbors, self masked out: a partition, then (distance, index) order.
-    if dists is None:
+    # Neighbors, self masked out, in (distance, index) order.
+    if neighbors is None:
         D = _pairwise_dists(X[sample_indices], X)
         D[np.arange(m), sample_indices] = np.inf
-    elif dists.shape != (n, n):
-        raise ValueError(f"dists must have shape {(n, n)}, got {dists.shape}")
+        nbr = _nearest(D, params.k)                 # (m, k)
+    elif neighbors.shape != (n, params.k):
+        raise ValueError(f"neighbors must have shape {(n, params.k)}, got {neighbors.shape}")
     else:
-        D = dists if full_sweep else dists[sample_indices]
-    nbr = _nearest(D, params.k)                     # (m, k)
+        nbr = neighbors if full_sweep else neighbors[sample_indices]
 
     d_rank = neighbor_influence(params.k, params.sigma)   # (k,)
 
@@ -301,20 +329,38 @@ def adjust_weights(report: FeatureReport, C: float | None = None) -> FeatureRepo
     return replace(report, adjusted_weights=adjusted, adjusted_ranks=adj_ranks)
 
 
-def _add_rows(dists: np.ndarray, X: np.ndarray, seen: int):
-    """Fill rows and columns ``seen:len(X)`` of the distance buffer ``dists``,
-    whose ``[:seen, :seen]`` block already holds the rows before them.
+def _grow_neighbors(X: np.ndarray, kept: tuple[np.ndarray, np.ndarray] | None,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest other rows of X in (distance, index) order, and
+    their distances, given ``kept``: the same pair for the first rows of X
+    (None for none).
 
-    Each entry is the same per-attribute sum whichever block computes it,
-    and ``(a-b)**2 == (b-a)**2``, so the new columns are the new rows'
-    transpose; the diagonal gets Relief's self mask.
+    Only the new rows' distances are computed, ``_pairwise_dists`` against
+    every row with the self mask (``inf``), and the new rows search them.
+    An old row's k nearest lie among its k kept ones and the new columns,
+    whose distances are the new rows' transposed (each entry is the same
+    per-attribute sum whichever row computes it, and ``(a-b)**2 ==
+    (b-a)**2``).  So an old row searches only [kept neighbours in
+    (distance, index) order, new columns in index order].  Every kept
+    index is below every new one, so among equal distances a candidate's
+    position orders the same way as its index, and :func:`_nearest` on
+    the candidates picks what it would pick on the whole row, bit for bit.
     """
-    size = len(X)
+    seen, size = (0 if kept is None else len(kept[0])), len(X)
+    if seen == size:
+        return kept
     block = _pairwise_dists(X[seen:], X)
-    dists[seen:size, :size] = block
-    dists[:seen, seen:size] = block[:, :seen].T
-    new = np.arange(seen, size)
-    dists[new, new] = np.inf
+    block[np.arange(size - seen), np.arange(seen, size)] = np.inf
+    nbr = _nearest(block, k)
+    dist = np.take_along_axis(block, nbr, axis=1)
+    if kept is None:
+        return nbr, dist
+    cand = np.concatenate([kept[0], np.broadcast_to(np.arange(seen, size), (seen, size - seen))],
+                          axis=1)
+    cand_dist = np.concatenate([kept[1], block[:, :seen].T], axis=1)
+    pick = _nearest(cand_dist, k)
+    return (np.concatenate([np.take_along_axis(cand, pick, axis=1), nbr]),
+            np.concatenate([np.take_along_axis(cand_dist, pick, axis=1), dist]))
 
 
 def select_features(
@@ -341,12 +387,16 @@ def select_features(
     ``converged=False``.
 
     While the training set has at most ``m`` points every pass is a full
-    sweep, and the distances among the training points are kept from pass
-    to pass in one ``(min(m, n), min(m, n))`` buffer: each batch computes
-    only its own rows, so a pass reads what it would have computed, bit
-    for bit.  Once the training set grows past ``m`` the buffer is dropped
-    and each sampled pass computes its ``m x n`` distances, so memory
-    never scales with the square of the training set.
+    sweep, and each training point's k nearest neighbours and their
+    distances are kept from pass to pass.  A batch of b points computes
+    only its own b distance rows, and searches those rows and, for every
+    earlier point, its kept k neighbours plus the b new columns
+    (:func:`_grow_neighbors`).  So a pass costs O(size * b) in place of
+    O(size^2) and reads the lists it would have computed, bit for bit,
+    ties at the k-th distance included.  Once the training set grows past
+    ``m`` the lists are dropped and each sampled pass computes its
+    ``m x n`` distances and its own lists, so memory never scales with
+    the square of the training set.
 
     Each batch is one :func:`~gridscan.oracles.evaluate_many` sweep, so
     ``GRIDSCAN_THREADS`` workers serve it like every other oracle sweep.
@@ -370,10 +420,10 @@ def select_features(
     if cache is None:
         cache = {}
 
-    # Relief's distances among the training rows while every pass is a full
-    # sweep (at most m rows); past m, each sampled pass computes its own.
-    side = min(params.m, n)
-    dists: np.ndarray | None = np.empty((side, side))
+    # Relief's k-nearest lists and their distances among the training rows
+    # while every pass is a full sweep (at most m rows); past m, each
+    # sampled pass computes its own.
+    kept: tuple[np.ndarray, np.ndarray] | None = None
 
     report: FeatureReport | None = None
     prev_ranks: np.ndarray | None = None
@@ -386,23 +436,17 @@ def select_features(
         values = evaluate_many(oracle, X_all[take], catch_failures=True)
         ok = ~np.isnan(values)
         failed += hours[take[~ok]].tolist()
-        seen = len(train_rows)
         train_rows += take[ok].tolist()
         train_lam += values[ok].tolist()
         cache.update(zip(hours[take[ok]].tolist(), values[ok].tolist()))
         size = len(train_rows)
         X_train = X_all[train_rows]
-        if size <= side:
-            _add_rows(dists, X_train, seen)
-        else:
-            dists = None
         if size <= params.k:
             continue
+        kept = _grow_neighbors(X_train, kept, params.k) if size <= params.m else None
 
-        passed = rrelieff_pass(
-            X_train, np.array(train_lam), params, rng=sampler,
-            dists=None if dists is None else dists[:size, :size],
-        )
+        passed = rrelieff_pass(X_train, np.array(train_lam), params, rng=sampler,
+                               neighbors=None if kept is None else kept[0])
         passed = replace(
             passed,
             names=tuple(data.attribute_names()),

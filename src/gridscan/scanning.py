@@ -64,7 +64,8 @@ class ScanReport:
     exhaustive scan's :class:`StabilityTrace`, run or reused, and
     ``lambda_full`` its indices (NaN where the oracle failed).
     ``validation_excluded`` counts the hours validation left out because
-    the full-scan trace has no index there.
+    the full-scan trace has no index there: all of them when the report
+    carries the trace, the sampled ones when validation read a known one.
     """
 
     hours: np.ndarray
@@ -278,6 +279,9 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     is finite, then from the selection's values, and only then from the
     oracle; a non-finite oracle value raises ``ValueError`` naming the
     hour.  ``known`` never changes the draw, only where values come from.
+    A NaN in ``known`` may be a hole or a failure the trace recorded: the
+    hour is called, and if the call fails again it is left out after the
+    draw and counted in ``validation_excluded``.
 
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
     to the absolute error and are flagged.  The histogram uses
@@ -315,7 +319,12 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     if fresh.any():
         rows = picked[fresh]
         true_vals[fresh] = evaluate_many(oracle, data.values[rows],
+                                         catch_failures=known is not None,
                                          names=[f"hour {h}" for h in hours[rows].tolist()])
+    failed = np.isnan(true_vals)
+    if failed.all():
+        raise ValueError("the oracle failed at every sampled hour")
+    picked, true_vals = picked[~failed], true_vals[~failed]
 
     samples = []
     for slot, idx in enumerate(picked):
@@ -334,7 +343,7 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
         mape=float(apes.mean()),
         max_ape=float(apes.max()),
         histogram=tuple(_percentage_histogram(apes)),
-        validation_excluded=len(hours) - n_known,
+        validation_excluded=len(hours) - n_known + int(failed.sum()),
     )
 
 

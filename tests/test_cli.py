@@ -534,6 +534,74 @@ def test_compare_caps_the_sample_at_the_hours_the_full_scan_resolved(tmp_path, c
     assert len(report["validation"]) == 298
 
 
+def test_fastscan_leaves_out_the_hours_a_partial_full_trace_records_as_failed(
+        tmp_path, config_path, monkeypatch):
+    # every hour is sampled, hours 3 and 77 among them; both failed in
+    # fullscan and fail again
+    sample_all = ["--set", "scan.sample_size=300"]
+    fresh, complete, out = tmp_path / "fresh", tmp_path / "complete", tmp_path / "out"
+    assert main(["fastscan", "--config", config_path, "--out", str(fresh)] + sample_all) == 0
+    assert main(["fullscan", "--config", config_path, "--out", str(complete)]) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(complete)] + sample_all) == 0
+    assert (complete / "scan_report.json").read_bytes() == (fresh / "scan_report.json").read_bytes()
+
+    build = cli.build_oracle
+    monkeypatch.setattr(
+        cli, "build_oracle",
+        lambda config, data: _FailingSurrogate(build(config, data), data.values[[3, 77]]),
+    )
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    assert main(["fastscan", "--config", config_path, "--out", str(out)] + sample_all) == 0
+    report = json.loads((out / "scan_report.json").read_text())
+    assert report["validation_excluded"] == 2
+    assert len(report["validation"]) == 298
+    assert not {3, 77} & {s["hour"] for s in report["validation"]}
+
+
+def _repeated_year_csv(tmp_path, n_distinct, copies):
+    """A CSV year of ``n_distinct`` hours, each repeated ``copies`` times in
+    shuffled order, with the two-bus oracle as its config."""
+    year = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=n_distinct, n_attributes=6,
+                                                             seed=5, n_informative=2))
+    rows = np.random.default_rng(0).permutation(np.repeat(np.arange(n_distinct), copies))
+    repeated = gs.OperatingPointSet(year.attributes, year.values[rows], np.arange(len(rows)))
+    path = gs.save_csv(repeated, tmp_path / "repeated.csv")
+    config = dict(SMALL_CONFIG, dataset={"csv": str(path)}, oracle={"kind": "two_bus_margin"})
+    config_path = tmp_path / "repeated.json"
+    config_path.write_text(json.dumps(config))
+    return str(config_path)
+
+
+def _one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("n_distinct, copies, k_init, message", [
+    (240, 1, 300, "k_init=300 exceeds the number of points 240"),
+    (60, 4, 61, "only 60 distinct points, cannot seed k=61"),
+])
+def test_cluster_with_k_init_above_the_points_exits_2(tmp_path, capsys, n_distinct, copies,
+                                                      k_init, message):
+    config_path = _repeated_year_csv(tmp_path, n_distinct, copies)
+    code = main(["cluster", "--config", config_path, "--out", str(tmp_path / "out"),
+                 "--set", f"scan.adapt.k_init={k_init}"])
+    assert code == 2
+    _one_error_line(capsys, message)
+    assert not (tmp_path / "out" / "cluster_model.json").exists()
+
+
+def test_select_on_a_few_repeated_hours_exits_2(tmp_path, capsys):
+    # every point's neighbours are its own copies, so no neighbour differs
+    # in stability index and Relief's weights are undefined
+    config_path = _repeated_year_csv(tmp_path, 5, 48)
+    assert main(["select", "--config", config_path, "--out", str(tmp_path / "out")]) == 2
+    _one_error_line(capsys, "degenerate prediction diversity")
+    assert not (tmp_path / "out" / "feature_report.json").exists()
+
+
 def test_worstcase_from_full_trace(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0

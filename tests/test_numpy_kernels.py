@@ -106,6 +106,19 @@ def test_nearest_matches_stable_argsort_with_ties(seed):
         assert np.array_equal(_nearest(D, k), want), k
 
 
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_nearest_serves_rows_with_and_without_a_tie_at_the_kth_place_in_one_call(k):
+    # continuous rows take the partition path, integer rows mostly the tie
+    # path; both write into one result
+    rng = np.random.default_rng(k)
+    D = np.vstack([rng.uniform(0, 1, (20, 30)), rng.integers(0, 4, (20, 30))])
+    D = D[rng.permutation(len(D))]
+    ranked = np.sort(D, axis=1)
+    tied = ranked[:, k - 1] == ranked[:, k]
+    assert tied.any() and not tied.all()
+    assert np.array_equal(_nearest(D, k), np.argsort(D, axis=1, kind="stable")[:, :k])
+
+
 # ── ranks and Spearman's rho ─────────────────────────────────────────────
 
 

@@ -126,25 +126,60 @@ def test_pass_matches_reference_loop(rng):
     assert np.allclose(rep.weights, expected, atol=1e-12)
 
 
+def _self_masked_dists(X):
+    D = _pairwise_dists(X, X)
+    np.fill_diagonal(D, np.inf)
+    return D
+
+
+def _stable_nearest(D, k):
+    """Reference neighbour lists: the first k columns of a stable row argsort,
+    i.e. (distance, index) order."""
+    return np.argsort(D, axis=1, kind="stable")[:, :k]
+
+
 @pytest.mark.parametrize("m, explicit", [(200, False), (90, False), (40, True)])
-def test_pass_given_distances_matches_computing_them(rng, m, explicit):
+def test_pass_given_neighbors_matches_computing_them(rng, m, explicit):
     # a full sweep, a sampled pass and explicit draws, each with and without
-    # the training set's distances (inf diagonal); the given matrix is read only
+    # the training set's neighbour lists; the given lists are read only
     X = rng.uniform(-1, 1, size=(150, 6))
     lam = X[:, 1] + 0.3 * X[:, 4] ** 2
-    dists = _pairwise_dists(X, X)
-    np.fill_diagonal(dists, np.inf)
-    dists.flags.writeable = False
     params = ReliefParams(m=m, k=7)
+    neighbors = _stable_nearest(_self_masked_dists(X), params.k)
+    neighbors.flags.writeable = False
     sample = rng.choice(150, size=m, replace=False) if explicit else None
     got, want = [
         rrelieff_pass(X, lam, params, rng=np.random.default_rng(3), sample_indices=sample,
-                      dists=given)
-        for given in (dists, None)
+                      neighbors=given)
+        for given in (neighbors, None)
     ]
     assert got.weights.tobytes() == want.weights.tobytes()
-    with pytest.raises(ValueError, match="dists must have shape"):
-        rrelieff_pass(X, lam, params, dists=dists[:100, :100])
+    with pytest.raises(ValueError, match="neighbors must have shape"):
+        rrelieff_pass(X, lam, params, neighbors=neighbors[:100])
+
+
+def _duplicated_year(n_hours, copies, seed):
+    """A synthetic year whose hours repeat ``copies`` times in shuffled order."""
+    base = gs.generate_synthetic_year(
+        gs.SyntheticYearConfig(n_hours=n_hours // copies, n_attributes=6, seed=seed))
+    rows = np.random.default_rng(seed).permutation(np.repeat(np.arange(base.n_points), copies))
+    return dataclasses.replace(base, values=base.values[rows], timestamps=np.arange(len(rows)))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 30])
+def test_grown_neighbor_lists_equal_a_search_of_the_whole_training_set(batch):
+    # duplicated rows tie at the k-th distance, and the copies of a point
+    # arrive in different batches
+    k = 6
+    X = _duplicated_year(100, 4, seed=2).values
+    D = _self_masked_dists(X)
+    kept = None
+    for size in range(k + 1, len(X) + 1, batch):
+        kept = relief._grow_neighbors(X[:size], kept, k)
+        nbr, dist = kept
+        assert np.array_equal(nbr, _stable_nearest(D[:size, :size], k))
+        assert np.array_equal(nbr, relief._nearest(D[:size, :size], k))
+        assert dist.tobytes() == np.take_along_axis(D[:size], nbr, axis=1).tobytes()
 
 
 def test_pass_dominant_feature_ranked_first():
@@ -428,15 +463,19 @@ def test_report_serialization(tmp_path, year, year_oracle):
 
 def _select_twice(monkeypatch, data, oracle, params=ReliefParams()):
     """select_features as it runs, and with every pass computing its own
-    distances; the distances each cached pass was given are recorded."""
+    distances and neighbour lists; whether each kept pass was given lists
+    is recorded, and every given list is checked against a search of the
+    whole training set."""
     original = relief.rrelieff_pass
     given = []
 
-    def recording(*args, dists=None, **kwargs):
-        given.append(dists is not None)
-        return original(*args, dists=dists, **kwargs)
+    def recording(X, lam, params, neighbors=None, **kwargs):
+        given.append(neighbors is not None)
+        if neighbors is not None:
+            assert np.array_equal(neighbors, _stable_nearest(_self_masked_dists(X), params.k))
+        return original(X, lam, params, neighbors=neighbors, **kwargs)
 
-    def recomputing(*args, dists=None, **kwargs):
+    def recomputing(*args, neighbors=None, **kwargs):
         return original(*args, **kwargs)
 
     runs = []
@@ -491,9 +530,41 @@ def test_select_with_kept_distances_matches_recomputing_without_convergence(monk
     assert all(given)
 
 
+@pytest.mark.parametrize("params", [ReliefParams(rho_threshold=1.0, epsilon_f=0.0),
+                                    ReliefParams(m=200, rho_threshold=1.0, epsilon_f=0.0)],
+                         ids=["full-sweeps", "past-m"])
+def test_select_with_kept_neighbors_matches_recomputing_with_duplicated_hours(monkeypatch,
+                                                                              params):
+    # each hour appears 3 times, so neighbour distances tie at the k-th place
+    # and the copies of an hour arrive in different batches
+    data = _duplicated_year(540, 3, seed=5)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    D = _self_masked_dists(data.values)
+    assert (np.sort(D, axis=1)[:, params.k - 1] == np.sort(D, axis=1)[:, params.k]).any()
+    rep, given = _select_twice(monkeypatch, data, oracle, params)
+    assert rep.training_size == data.n_points
+    sizes = [min(params.batch * (i + 1), data.n_points) for i in range(len(given))]
+    assert given == [size <= params.m for size in sizes]
+
+
+def test_select_with_kept_neighbors_matches_recomputing_with_duplicated_and_failed_hours(
+        monkeypatch):
+    data = _duplicated_year(600, 2, seed=6)
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=9)
+    bad_points = {data.values[i].tobytes() for i in range(5, 600, 11)}
+
+    class NanReturning(StabilityOracle):
+        def _evaluate(self, point):
+            return math.nan if point.tobytes() in bad_points else base._evaluate(point)
+
+    rep, given = _select_twice(monkeypatch, data, NanReturning(),
+                               ReliefParams(rho_threshold=1.0, epsilon_f=0.0))
+    assert rep.failed_hours and all(given)
+
+
 def test_select_memory_stays_at_the_scale_of_m_times_n():
     # a selection that never converges consumes all 3000 points; the kept
-    # distances stop at m rows, so the peak is a few m x n passes, far
+    # neighbour lists stop at m rows, so the peak is a few m x n passes, far
     # below one n x n matrix (72 MB)
     n, m = 3000, 200
     data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=n, seed=6))

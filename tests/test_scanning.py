@@ -258,14 +258,30 @@ def test_validate_histogram_has_unit_bins():
     assert report.max_ape * 100 <= top_edge
 
 
+def _years_with_and_without_unpaid_hours():
+    """The 240-hour small year, where feature selection pays for every hour,
+    and a 400-hour one, where it leaves most hours to the other stages."""
+    return small_year(), small_year(n=400)
+
+
+def _check_unpaid_hours(report, data):
+    """Selection called the oracle at every hour of the 240-hour year and
+    not of the other."""
+    drawn = report.training_size + len(report.feature_report.failed_hours)
+    assert (drawn == data.n_points) == (data.n_points == 240), data.n_points
+
+
 def test_validate_uses_full_trace_without_oracle_calls():
-    data = small_year()
-    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    report = gs.compare_full_vs_fast(data, oracle, small_config())
-    count = oracle.eval_count
-    report = gs.validate(report, data, oracle, 50, seed=5)
-    assert oracle.eval_count == count
-    assert report.mape is not None
+    for data in _years_with_and_without_unpaid_hours():
+        oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+        report = gs.compare_full_vs_fast(data, oracle, small_config())
+        _check_unpaid_hours(report, data)
+        count = oracle.eval_count
+        report = gs.validate(report, data, oracle, 50, seed=5)
+        assert oracle.eval_count == count
+        assert report.mape is not None
+        unpaid = {s.hour for s in report.validation} - set(report.training_lambdas)
+        assert bool(unpaid) == (data.n_points == 400)
 
 
 def test_validate_skips_failed_hours_of_a_partial_full_trace():
@@ -352,22 +368,53 @@ def test_validate_names_the_hour_where_the_oracle_returns_nan():
         gs.validate(report, data, oracle, len(free), seed=1)
 
 
-def test_compare_keeps_its_full_trace_with_the_failed_hours():
-    data = small_year()
+def test_validate_leaves_out_known_failed_hours_that_fail_again():
+    # a known trace without values: its holes are called, the calls that
+    # fail are left out after the draw, and a sample left empty is an error
+    data = small_year(n=400)
     base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    bad_hours = (5, 100, 200)
-    bad_points = {data.values[i].tobytes() for i in bad_hours}
+    report = gs.fast_scan(data, base, small_config())
+    holes = gs.StabilityTrace(hours=data.timestamps, lam=np.full(data.n_points, np.nan),
+                              kind="t")
+    fresh = gs.validate(report, data, base, 20, seed=5)
+    bad = {fresh.validation[i].hour for i in (0, 7)}
+    bad_points = {data.values[h].tobytes() for h in bad}
 
     class Flaky(StabilityOracle):
-        kind = "flaky"
-
         def _evaluate(self, point):
-            return float("nan") if point.tobytes() in bad_points else base._evaluate(point)
+            if point.tobytes() in bad_points:
+                raise RuntimeError("solver diverged")
+            return base._evaluate(point)
 
-    report = gs.compare_full_vs_fast(data, Flaky(), small_config())
-    assert report.full_trace.failed_hours == bad_hours
-    assert report.lambda_full is report.full_trace.lam
-    assert report.timing["full_scan_s"] == report.full_trace.elapsed_s
+    reused = gs.validate(report, data, Flaky(), 20, seed=5, known=holes)
+    assert reused.validation == tuple(s for s in fresh.validation if s.hour not in bad)
+    assert reused.validation_excluded == 2
+
+    class Failing(StabilityOracle):
+        def _evaluate(self, point):
+            raise RuntimeError("solver diverged")
+
+    with pytest.raises(ValueError, match="failed at every sampled hour"):
+        gs.validate(report, data, Failing(), 20, seed=5, known=holes)
+
+
+def test_compare_keeps_its_full_trace_with_the_failed_hours():
+    for data in _years_with_and_without_unpaid_hours():
+        base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+        bad_hours = (5, 100, 200)
+        bad_points = {data.values[i].tobytes() for i in bad_hours}
+
+        class Flaky(StabilityOracle):
+            kind = "flaky"
+
+            def _evaluate(self, point):
+                return float("nan") if point.tobytes() in bad_points else base._evaluate(point)
+
+        report = gs.compare_full_vs_fast(data, Flaky(), small_config())
+        _check_unpaid_hours(report, data)
+        assert report.full_trace.failed_hours == bad_hours
+        assert report.lambda_full is report.full_trace.lam
+        assert report.timing["full_scan_s"] == report.full_trace.elapsed_s
 
 
 # ── worst case ───────────────────────────────────────────────────────────
@@ -431,17 +478,18 @@ def test_worst_case_length_mismatch():
 
 
 def test_compare_reports_honest_speedup_without_delay():
-    data = small_year()
-    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    report = gs.compare_full_vs_fast(data, oracle, small_config())
-    fast_total = sum(
-        report.timing[k] for k in ("feature_selection_s", "clustering_s", "centroid_eval_s")
-    )
-    assert report.speedup == pytest.approx(report.timing["full_scan_s"] / fast_total)
-    # with a free oracle the clustering overhead dominates: the ratio is
-    # simply reported, however unflattering
-    assert report.speedup < 5.0
-    assert report.lambda_full is not None
+    for data in _years_with_and_without_unpaid_hours():
+        oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+        report = gs.compare_full_vs_fast(data, oracle, small_config())
+        _check_unpaid_hours(report, data)
+        fast_total = sum(
+            report.timing[k] for k in ("feature_selection_s", "clustering_s", "centroid_eval_s")
+        )
+        assert report.speedup == pytest.approx(report.timing["full_scan_s"] / fast_total)
+        # with a free oracle the clustering overhead dominates: the ratio is
+        # simply reported, however unflattering
+        assert report.speedup < 5.0
+        assert report.lambda_full is not None
 
 
 def test_compare_speedup_with_injected_cost():
@@ -467,15 +515,16 @@ def test_compare_degenerate_clustering_cannot_speed_up():
 
 
 def test_compare_accepts_cached_trace():
-    data = small_year()
-    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    trace = gs.full_scan(data, oracle)
-    count = oracle.eval_count
-    report = gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=trace)
-    # the fast path still evaluates training + centroids, but no second
-    # exhaustive sweep happens
-    assert oracle.eval_count - count == report.oracle_evaluations
-    assert np.array_equal(report.lambda_full, trace.lam)
+    for data in _years_with_and_without_unpaid_hours():
+        oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+        trace = gs.full_scan(data, oracle)
+        count = oracle.eval_count
+        report = gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=trace)
+        _check_unpaid_hours(report, data)
+        # the fast path still evaluates training + centroids, but no second
+        # exhaustive sweep happens
+        assert oracle.eval_count - count == report.oracle_evaluations
+        assert np.array_equal(report.lambda_full, trace.lam)
 
 
 def test_compare_pays_for_each_hour_once():
