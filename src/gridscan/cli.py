@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -118,8 +119,8 @@ def load_config(path: str | None, overrides) -> dict:
     if path:
         try:
             config = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
@@ -131,11 +132,20 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def _build(cls, section: dict | None, path: str):
-    """A parameter dataclass from a config section; absent keys keep its defaults."""
+    """A parameter dataclass from a config section; absent keys keep its defaults.
+
+    A field typed ``int`` (or ``int | None``) takes only an integer (or null)."""
     kwargs = dict(section or {})
+    hints = typing.get_type_hints(cls)
     for f in fields(cls):
-        if is_dataclass(f.default) and f.name in kwargs:
-            kwargs[f.name] = _build(type(f.default), kwargs[f.name], f"{path}.{f.name}")
+        if f.name not in kwargs:
+            continue
+        value, hint = kwargs[f.name], hints[f.name]
+        if is_dataclass(f.default):
+            kwargs[f.name] = _build(type(f.default), value, f"{path}.{f.name}")
+        elif hint in (int, int | None) and not (
+                type(value) is int or value is None and hint is not int):
+            raise ConfigError(f"config key '{path}.{f.name}' must be an integer, got {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -422,17 +432,6 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
             "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
-def _validate(report, data, oracle, scan: ScanConfig, known=None):
-    """``validate`` on ``scan.sample_size`` hours, capped at the hours with a
-    known index (all of them, or the finite ones of a partial full scan).
-    ``known``, a full trace of the run directory, spares the oracle calls
-    at the hours it holds."""
-    failed = () if report.full_trace is None else report.full_trace.failed_hours
-    n_known = data.n_points - len(failed)
-    return validate(report, data, oracle, min(scan.sample_size, n_known), seed=scan.seed,
-                    known=known)
-
-
 def _clustering_flag(model) -> str:
     return "clustering=" + ("computed" if model is None else "reused")
 
@@ -442,7 +441,8 @@ def cmd_fastscan(args, out: Path, config: dict) -> int:
     key = _cache_key(data, oracle, scan)
     model = _cached_model(out, key)
     report = fast_scan(data, oracle, scan, cached_model=model)
-    report = _validate(report, data, oracle, scan, known=_cached_full_trace(out, data, oracle))
+    report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed,
+                      known=_cached_full_trace(out, data, oracle))
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     write_manifest(out, "fastscan", config, artifacts)
     print(
@@ -468,7 +468,7 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     key = _cache_key(data, oracle, scan)
     cached, model = _cached_full_trace(out, data, oracle), _cached_model(out, key)
     report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
-    report = _validate(report, data, oracle, scan)
+    report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     # A partial cached trace had its failed hours evaluated again.
     if cached is None or cached.partial:
@@ -545,7 +545,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.overrides)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: {exc.strerror}")
         return _COMMANDS[args.command](args, out, config)
     except (ConfigError, DegeneratePredictionError, TooFewPointsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

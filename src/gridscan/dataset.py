@@ -320,6 +320,8 @@ class SyntheticYearConfig:
             raise ValueError("amplitudes must be non-negative")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def generate_synthetic_year(cfg: SyntheticYearConfig) -> OperatingPointSet:

@@ -288,7 +288,7 @@ class StabilityTrace:
         return cls(hours=np.array(hours), lam=np.array(lam), kind=kind)
 
 
-def evaluate_many(oracle, points, catch_failures: bool = False, names=None) -> np.ndarray:
+def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:
     """Evaluate the oracle at each point, optionally in worker threads.
 
     Thread count comes from GRIDSCAN_THREADS (default 1: sequential).
@@ -298,8 +298,7 @@ def evaluate_many(oracle, points, catch_failures: bool = False, names=None) -> n
     raised an ``Exception`` or returned a non-finite value.  With
     ``catch_failures`` a failed call is NaN in the returned array.
     Without it the exception propagates, and a non-finite value raises
-    ``ValueError`` naming the point: ``names[pos]`` when given (say, the
-    point's hour), else ``point <pos>``.
+    ``ValueError`` naming the point's position.
     """
     points = np.asarray(points, dtype=float)
 
@@ -307,8 +306,7 @@ def evaluate_many(oracle, points, catch_failures: bool = False, names=None) -> n
         try:
             value = float(oracle(point))
             if not math.isfinite(value):
-                name = f"point {pos}" if names is None else names[pos]
-                raise ValueError(f"oracle returned {value} at {name}")
+                raise ValueError(f"oracle returned {value} at point {pos}")
         except Exception:
             if catch_failures:
                 return math.nan

@@ -42,6 +42,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,8 @@ class ScanReport:
     ``speedup`` only after a comparison run.  ``full_trace`` is the
     exhaustive scan's :class:`StabilityTrace`, run or reused, and
     ``lambda_full`` its indices (NaN where the oracle failed).
-    ``validation_excluded`` counts the hours validation left out because
-    the full-scan trace has no index there: all of them when the report
-    carries the trace, the sampled ones when validation read a known one.
+    ``validation_excluded`` counts the sampled hours validation left out
+    because no value was found or the oracle failed there.
     """
 
     hours: np.ndarray
@@ -266,22 +267,18 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
              known: StabilityTrace | None = None) -> ScanReport:
     """Error statistics of the fast scan on a random hour sample.
 
-    Hours consumed by feature selection are excluded from the draw (their
-    indices were seen by the pipeline); they are used, via the cached
-    values, only when the requested sample exceeds the unseen hours.  When
-    the report carries a full-scan trace, true values come from it and no
-    oracle calls are made; hours where that trace is NaN (the oracle
-    failed) are left out of the draw and counted in
-    ``validation_excluded``.
+    The draw depends only on the report and ``seed``: hours consumed by
+    feature selection are left out of it (their indices were seen by the
+    pipeline) unless ``sample_size`` exceeds the unseen hours.
+    ``sample_size`` must lie in 1..n_hours.
 
-    Without one, a sampled hour takes its true value from ``known`` (a
-    full-scan trace of the same hours, say a run directory's) where that
-    is finite, then from the selection's values, and only then from the
-    oracle; a non-finite oracle value raises ``ValueError`` naming the
-    hour.  ``known`` never changes the draw, only where values come from.
-    A NaN in ``known`` may be a hole or a failure the trace recorded: the
-    hour is called, and if the call fails again it is left out after the
-    draw and counted in ``validation_excluded``.
+    A sampled hour takes its true value from the trace (the report's
+    ``full_trace``, else ``known``, a full-scan trace of the same hours),
+    then from the selection's values.  Only without a trace is the oracle
+    called, at the sampled hours the selection does not hold; a trace
+    covers every hour, its NaN marking a failed call.  A sampled hour
+    still without a value is left out after the draw and counted in
+    ``validation_excluded``; if every one is, ``ValueError``.
 
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
     to the absolute error and are flagged.  The histogram uses
@@ -290,37 +287,25 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     hours = report.hours
     if known is not None:
         known.require_hours(hours, "known")
-    resolved = np.ones(len(hours), dtype=bool)
-    if report.lambda_full is not None:
-        resolved = np.isfinite(report.lambda_full)
-    n_known = int(resolved.sum())
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
-    if sample_size > n_known:
-        raise ValueError(
-            f"sample_size {sample_size} exceeds the {n_known} hours with a known index"
-        )
+    if not 1 <= sample_size <= len(hours):
+        raise ValueError(f"sample_size must lie in 1..{len(hours)}, got {sample_size}")
     rng = np.random.default_rng(seed)
 
     trained = np.isin(hours, np.fromiter(report.training_lambdas, dtype=int, count=len(report.training_lambdas)))
-    eligible = np.flatnonzero(~trained & resolved)
+    eligible = np.flatnonzero(~trained)
     if sample_size <= len(eligible):
         picked = rng.choice(eligible, size=sample_size, replace=False)
     else:
-        extra = rng.choice(
-            np.flatnonzero(trained & resolved), size=sample_size - len(eligible), replace=False
-        )
+        extra = rng.choice(np.flatnonzero(trained), size=sample_size - len(eligible),
+                           replace=False)
         picked = np.concatenate([eligible, extra])
     picked.sort()
 
     trace = known if report.full_trace is None else report.full_trace
     true_vals = _held_values(report, picked, trace)
-    fresh = np.isnan(true_vals)
-    if fresh.any():
-        rows = picked[fresh]
-        true_vals[fresh] = evaluate_many(oracle, data.values[rows],
-                                         catch_failures=known is not None,
-                                         names=[f"hour {h}" for h in hours[rows].tolist()])
+    if trace is None:
+        fresh = np.isnan(true_vals)
+        true_vals[fresh] = evaluate_many(oracle, data.values[picked[fresh]], catch_failures=True)
     failed = np.isnan(true_vals)
     if failed.all():
         raise ValueError("the oracle failed at every sampled hour")
@@ -343,7 +328,7 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
         mape=float(apes.mean()),
         max_ape=float(apes.max()),
         histogram=tuple(_percentage_histogram(apes)),
-        validation_excluded=len(hours) - n_known + int(failed.sum()),
+        validation_excluded=int(failed.sum()),
     )
 
 

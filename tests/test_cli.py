@@ -118,6 +118,38 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     assert "<root> must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, override", [
+    ("fastscan", "scan.seed=1.5"),
+    ("fastscan", "scan.seed=-1"),
+    ("fastscan", "scan.pso.n_iter=2.5"),
+    ("fastscan", "scan.relief.batch=7.5"),
+    ("fastscan", "scan.relief.k=3.0"),
+    ("fastscan", "scan.sample_size=2.5"),
+    ("fastscan", "scan.adapt.k_init=4.5"),
+    ("fastscan", "scan.adapt.max_outer=true"),
+    ("generate", "dataset.synthetic.n_hours=100.5"),
+    ("generate", "dataset.synthetic.seed=-1"),
+    ("generate", 'dataset.synthetic.seed="1"'),
+])
+def test_a_non_integer_or_negative_seed_exits_2(tmp_path, config_path, capsys, command,
+                                                override):
+    out = tmp_path / "o"
+    assert main([command, "--config", config_path, "--out", str(out), "--set", override]) == 2
+    key = override.split("=")[0]
+    _one_error_line(capsys, key.rsplit(".", 1)[1], key.rsplit(".", 1)[0])
+    assert not any(out.iterdir())
+
+
+def test_a_config_directory_or_an_out_file_exits_2(tmp_path, config_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["fastscan", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    _one_error_line(capsys, f"config file {tmp_path}")
+    assert main(["fastscan", "--config", config_path, "--out", str(afile)]) == 2
+    _one_error_line(capsys, f"--out {afile}")
+    assert afile.read_text() == ""
+
+
 @pytest.mark.parametrize("overrides", [
     ['oracle.b0="abc"'],
     ['oracle.seed="abc"'],
@@ -537,7 +569,7 @@ def test_compare_caps_the_sample_at_the_hours_the_full_scan_resolved(tmp_path, c
 def test_fastscan_leaves_out_the_hours_a_partial_full_trace_records_as_failed(
         tmp_path, config_path, monkeypatch):
     # every hour is sampled, hours 3 and 77 among them; both failed in
-    # fullscan and fail again
+    # fullscan, and validation reads that without calling the oracle again
     sample_all = ["--set", "scan.sample_size=300"]
     fresh, complete, out = tmp_path / "fresh", tmp_path / "complete", tmp_path / "out"
     assert main(["fastscan", "--config", config_path, "--out", str(fresh)] + sample_all) == 0
@@ -545,17 +577,31 @@ def test_fastscan_leaves_out_the_hours_a_partial_full_trace_records_as_failed(
     assert main(["fastscan", "--config", config_path, "--out", str(complete)] + sample_all) == 0
     assert (complete / "scan_report.json").read_bytes() == (fresh / "scan_report.json").read_bytes()
 
-    build = cli.build_oracle
-    monkeypatch.setattr(
-        cli, "build_oracle",
-        lambda config, data: _FailingSurrogate(build(config, data), data.values[[3, 77]]),
-    )
+    build, built = cli.build_oracle, []
+
+    def failing(config, data):
+        built.append(_FailingSurrogate(build(config, data), data.values[[3, 77]]))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_oracle", failing)
     assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
     assert main(["fastscan", "--config", config_path, "--out", str(out)] + sample_all) == 0
     report = json.loads((out / "scan_report.json").read_text())
+    assert built[-1].eval_count == report["oracle_evaluations"]
     assert report["validation_excluded"] == 2
     assert len(report["validation"]) == 298
     assert not {3, 77} & {s["hour"] for s in report["validation"]}
+
+    # a fresh fastscan calls the oracle at those hours and a fresh compare
+    # sweeps them; both leave them out alike
+    block = ("validation", "mape", "max_ape", "histogram", "validation_excluded")
+    for command in ("fastscan", "compare"):
+        run = tmp_path / f"fresh_{command}"
+        assert main([command, "--config", config_path, "--out", str(run)] + sample_all) == 0
+        other = json.loads((run / "scan_report.json").read_text())
+        assert {k: other[k] for k in block} == {k: report[k] for k in block}
+    assert ((tmp_path / "fresh_fastscan" / "scan_report.json").read_bytes()
+            == (out / "scan_report.json").read_bytes())
 
 
 def _repeated_year_csv(tmp_path, n_distinct, copies):

@@ -284,9 +284,11 @@ def test_validate_uses_full_trace_without_oracle_calls():
         assert bool(unpaid) == (data.n_points == 400)
 
 
-def test_validate_skips_failed_hours_of_a_partial_full_trace():
-    # 11 of 1500 hours fail in the full scan; their NaN must stay out of
-    # the draw instead of reaching the APE histogram
+@pytest.mark.parametrize("failure", ["raises", "returns-nan"])
+def test_validate_leaves_out_the_failed_sampled_hours_whatever_holds_the_values(failure):
+    # 11 of 1500 hours fail.  The report's trace, a known trace and fresh
+    # calls give one draw and one sample: its failed hours are left out
+    # and counted, and a trace spares every validation call
     data = small_year(n=1500)
     base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
     bad_hours = set(range(5, data.n_points, 137))
@@ -296,22 +298,30 @@ def test_validate_skips_failed_hours_of_a_partial_full_trace():
         kind = "flaky"
 
         def _evaluate(self, point):
-            if point.tobytes() in bad_points:
+            if point.tobytes() not in bad_points:
+                return base._evaluate(point)
+            if failure == "raises":
                 raise RuntimeError("solver diverged")
-            return base._evaluate(point)
+            return float("nan")
 
     oracle = Flaky()
-    report = gs.compare_full_vs_fast(data, oracle, small_config())
-    assert np.isnan(report.lambda_full).sum() == len(bad_hours) == 11
-    report = gs.validate(report, data, oracle, 500, seed=2)
-    assert report.validation_excluded == 11
-    assert len(report.validation) == 500
-    assert not {s.hour for s in report.validation} & bad_hours
-    assert np.isfinite(report.mape) and np.isfinite(report.max_ape)
-    assert sum(c for _, _, c in report.histogram) == 500
-    assert report.to_dict()["validation_excluded"] == 11
-    with pytest.raises(ValueError, match="known index"):
-        gs.validate(report, data, oracle, data.n_points, seed=2)
+    fresh = gs.fast_scan(data, oracle, small_config())
+    compared = gs.compare_full_vs_fast(data, oracle, small_config())
+    assert set(compared.full_trace.failed_hours) == bad_hours
+    drawn = gs.validate(fresh, data, base, 500, seed=2).validation
+    left_out = {s.hour for s in drawn} & bad_hours
+    assert left_out
+    blocks = []
+    for report, known in ((fresh, None), (fresh, compared.full_trace), (compared, None)):
+        count = oracle.eval_count
+        checked = gs.validate(report, data, oracle, 500, seed=2, known=known)
+        assert (oracle.eval_count == count) == (known is not None or report is compared)
+        assert checked.validation == tuple(s for s in drawn if s.hour not in bad_hours)
+        assert checked.to_dict()["validation_excluded"] == len(left_out)
+        assert sum(c for _, _, c in checked.histogram) == 500 - len(left_out)
+        blocks.append((checked.validation, checked.mape, checked.max_ape, checked.histogram,
+                       checked.validation_excluded))
+    assert blocks[0] == blocks[1] == blocks[2]
 
 
 def test_validate_reads_a_known_trace_before_calling_the_oracle():
@@ -329,73 +339,27 @@ def test_validate_reads_a_known_trace_before_calling_the_oracle():
     assert reused.to_dict() == fresh.to_dict()
 
 
-def test_validate_calls_the_oracle_where_the_known_trace_has_no_value():
-    data = small_year(n=1000)
-    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    report = gs.fast_scan(data, oracle, small_config())
-    fresh = gs.validate(report, data, oracle, 50, seed=5)
-    free = [s.hour for s in fresh.validation if s.hour not in report.training_lambdas]
-    holes = free[:7]
-    assert len(holes) == 7
-    trace = gs.full_scan(data, oracle)
-    trace.lam[holes] = np.nan
-    count = oracle.eval_count
-    reused = gs.validate(report, data, oracle, 50, seed=5, known=trace)
-    assert oracle.eval_count - count == len(holes)
-    assert reused.to_dict() == fresh.to_dict()
-    with pytest.raises(ValueError, match="covers other hours than the dataset"):
-        gs.validate(report, data, oracle, 50, known=gs.StabilityTrace(
-            hours=np.arange(data.n_points + 1), lam=np.zeros(data.n_points + 1), kind="t"))
-
-
-def test_validate_names_the_hour_where_the_oracle_returns_nan():
-    # the error names the hour, not its place among the fresh draws
-    data = small_year(n=1000)
-    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    bad = set()
-
-    class Holes(StabilityOracle):
-        def _evaluate(self, point):
-            return float("nan") if point.tobytes() in bad else base._evaluate(point)
-
-    oracle = Holes()
-    report = gs.fast_scan(data, oracle, small_config())
-    free = [int(h) for h in data.timestamps if int(h) not in report.training_lambdas]
-    hour = free[-1]
-    assert free.index(hour) != hour
-    bad.add(data.values[hour].tobytes())
-    with pytest.raises(ValueError, match=rf"^oracle returned nan at hour {hour}$"):
-        gs.validate(report, data, oracle, len(free), seed=1)
-
-
-def test_validate_leaves_out_known_failed_hours_that_fail_again():
-    # a known trace without values: its holes are called, the calls that
-    # fail are left out after the draw, and a sample left empty is an error
+def test_validate_raises_without_a_sampled_value_or_a_sample_or_a_trace_of_these_hours():
     data = small_year(n=400)
     base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
     report = gs.fast_scan(data, base, small_config())
     holes = gs.StabilityTrace(hours=data.timestamps, lam=np.full(data.n_points, np.nan),
                               kind="t")
-    fresh = gs.validate(report, data, base, 20, seed=5)
-    bad = {fresh.validation[i].hour for i in (0, 7)}
-    bad_points = {data.values[h].tobytes() for h in bad}
-
-    class Flaky(StabilityOracle):
-        def _evaluate(self, point):
-            if point.tobytes() in bad_points:
-                raise RuntimeError("solver diverged")
-            return base._evaluate(point)
-
-    reused = gs.validate(report, data, Flaky(), 20, seed=5, known=holes)
-    assert reused.validation == tuple(s for s in fresh.validation if s.hour not in bad)
-    assert reused.validation_excluded == 2
 
     class Failing(StabilityOracle):
         def _evaluate(self, point):
             raise RuntimeError("solver diverged")
 
-    with pytest.raises(ValueError, match="failed at every sampled hour"):
-        gs.validate(report, data, Failing(), 20, seed=5, known=holes)
+    traced = replace(report, full_trace=holes)
+    for scanned, known in ((report, None), (report, holes), (traced, None)):
+        with pytest.raises(ValueError, match="failed at every sampled hour"):
+            gs.validate(scanned, data, Failing(), 20, seed=5, known=known)
+    for size in (0, data.n_points + 1):
+        with pytest.raises(ValueError, match=rf"sample_size must lie in 1\.\.{data.n_points}"):
+            gs.validate(report, data, base, size)
+    with pytest.raises(ValueError, match="covers other hours than the dataset"):
+        gs.validate(report, data, base, 50, known=gs.StabilityTrace(
+            hours=np.arange(data.n_points + 1), lam=np.zeros(data.n_points + 1), kind="t"))
 
 
 def test_compare_keeps_its_full_trace_with_the_failed_hours():
