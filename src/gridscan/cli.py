@@ -17,8 +17,8 @@ keyed by the program version and the CSV's bytes.
 
 Exit codes: 0 success, 2 config/validation error or a dataset the
 pipeline cannot scan (Relief's neighbours all share one stability index,
-or ``k_init`` exceeds the distinct points), 3 finished with
-non-convergence flags.
+``k_init`` exceeds the distinct points, or the oracle fails at a cluster
+centroid), 3 finished with non-convergence flags.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 import typing
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -46,10 +47,11 @@ from .dataset import (
     load_csv,
     save_csv,
 )
-from .oracles import DampingSurrogate, StabilityTrace, TwoBusMargin, full_scan
+from .oracles import ORACLE_KINDS, StabilityTrace, full_scan
 from .relief import DegeneratePredictionError
 from .relief import select_features  # noqa: F401  uncalled; perfbench spans wrap it
 from .scanning import (
+    FailedCentroidError,
     ScanConfig,
     cluster_stage,
     compare_full_vs_fast,
@@ -74,13 +76,17 @@ def _schema(cls) -> dict:
 
 _SCHEMA = {
     "dataset": {"csv": None, "synthetic": _schema(SyntheticYearConfig)},
-    "oracle": dict.fromkeys(
-        ["kind", "seed", "b0", "linear", "quadratic", "informative", "E", "X",
-         "load_columns", "delay_ms"]
-    ),
     "scan": _schema(ScanConfig),
     "worstcase": {"trace": None},
 }
+
+
+def _oracle_kind(section) -> tuple:
+    """The ``ORACLE_KINDS`` entry (parameters, factory) of an oracle section's kind."""
+    kind = (section if isinstance(section, dict) else {}).get("kind", "damping_surrogate")
+    if not isinstance(kind, str) or kind not in ORACLE_KINDS:
+        raise ConfigError(f"config key 'oracle.kind': unknown kind {kind!r}")
+    return ORACLE_KINDS[kind]
 
 
 def _check_keys(node, schema, path=""):
@@ -127,14 +133,23 @@ def load_config(path: str | None, overrides) -> dict:
         raise ConfigError("config key <root> must be an object")
     for entry in overrides or []:
         _apply_override(config, entry)
-    _check_keys(config, _SCHEMA)
+    oracle = _schema(_oracle_kind(config.get("oracle"))[0]) | {"kind": None}
+    _check_keys(config, {**_SCHEMA, "oracle": oracle})
     return config
+
+
+# The value types a scalar field takes from a config: a bool is no number.
+_SCALARS = {
+    int: ((int,), "an integer"), int | None: ((int, NoneType), "an integer"),
+    float: ((int, float), "a number"), float | None: ((int, float, NoneType), "a number"),
+}
 
 
 def _build(cls, section: dict | None, path: str):
     """A parameter dataclass from a config section; absent keys keep its defaults.
 
-    A field typed ``int`` (or ``int | None``) takes only an integer (or null)."""
+    A field typed ``int`` takes only an integer, one typed ``float`` an
+    integer or a float; typed ``| None``, either also takes null."""
     kwargs = dict(section or {})
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
@@ -143,9 +158,9 @@ def _build(cls, section: dict | None, path: str):
         value, hint = kwargs[f.name], hints[f.name]
         if is_dataclass(f.default):
             kwargs[f.name] = _build(type(f.default), value, f"{path}.{f.name}")
-        elif hint in (int, int | None) and not (
-                type(value) is int or value is None and hint is not int):
-            raise ConfigError(f"config key '{path}.{f.name}' must be an integer, got {value!r}")
+        elif hint in _SCALARS and type(value) not in _SCALARS[hint][0]:
+            raise ConfigError(f"config key '{path}.{f.name}' must be {_SCALARS[hint][1]}, "
+                              f"got {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -196,57 +211,14 @@ def _synthetic_config(config: dict) -> SyntheticYearConfig:
     return _build(SyntheticYearConfig, section, "dataset.synthetic")
 
 
-def _columns(indices, key: str, data: OperatingPointSet) -> list[int]:
-    """``indices`` as attribute columns of ``data``, each in range."""
-    columns = [int(i) for i in indices]
-    for i in columns:
-        if not 0 <= i < data.n_attributes:
-            raise ValueError(f"{key} index {i} is out of range for {data.n_attributes} attributes")
-    return columns
-
-
 def build_oracle(config: dict, data: OperatingPointSet):
     section = config.get("oracle") or {}
-    kind = section.get("kind", "damping_surrogate")
-    delay_ms = section.get("delay_ms", 0.0)
+    params, factory = _oracle_kind(section)
+    params = _build(params, {k: v for k, v in section.items() if k != "kind"}, "oracle")
     try:
-        if kind == "damping_surrogate":
-            b0 = float(section.get("b0", 5.0))
-            if "linear" in section:
-                linear, entries = section["linear"], section.get("quadratic", [])
-                if not isinstance(linear, dict):
-                    raise ValueError("linear must be an object of index: coefficient pairs")
-                if not (isinstance(entries, list)
-                        and all(isinstance(e, list) and len(e) == 3 for e in entries)):
-                    raise ValueError("quadratic must be a list of [i, j, c] triples")
-                linear = dict(zip(_columns(linear, "linear", data), map(float, linear.values())))
-                quadratic = {tuple(_columns(e[:2], "quadratic", data)): float(e[2])
-                             for e in entries}
-                return DampingSurrogate(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
-            informative = section.get("informative")
-            if informative is None:
-                informative = data.metadata.get("informative_indices")
-            if not informative:
-                raise ConfigError(
-                    "damping_surrogate needs 'informative' indices or 'linear' "
-                    "coefficients (synthetic datasets provide them via metadata)"
-                )
-            return DampingSurrogate.from_seed(
-                _columns(informative, "informative", data), seed=int(section.get("seed", 0)),
-                b0=b0, delay_ms=delay_ms,
-            )
-        if kind == "two_bus_margin":
-            load_columns = section.get("load_columns")
-            if load_columns is None:
-                load_columns = data.columns_of_kind(AttributeKind.LOAD_P)
-            if not load_columns:
-                raise ConfigError("two_bus_margin found no load_P columns")
-            return TwoBusMargin(E=float(section.get("E", 1.0)), X=float(section.get("X", 0.5)),
-                                load_indices=_columns(load_columns, "load_columns", data),
-                                delay_ms=delay_ms)
-    except (TypeError, ValueError) as exc:  # ConfigError included
+        return factory(params, data)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"oracle: {exc}")
-    raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
 
 
 def _pipeline_inputs(config: dict, out: Path):
@@ -550,7 +522,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {out}: {exc.strerror}")
         return _COMMANDS[args.command](args, out, config)
-    except (ConfigError, DegeneratePredictionError, TooFewPointsError) as exc:
+    except (ConfigError, DegeneratePredictionError, TooFewPointsError, FailedCentroidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

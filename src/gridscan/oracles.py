@@ -22,10 +22,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .dataset import AttributeKind
 
 THREADS_ENV = "GRIDSCAN_THREADS"
 
@@ -43,12 +45,15 @@ class StabilityOracle:
     """Base evaluator: pure mapping point -> index, with call accounting.
 
     ``eval_count`` increments exactly once per evaluation (thread-safe);
-    ``delay_ms`` injects an artificial per-call cost.
+    ``delay_ms`` injects an artificial per-call cost.  ``config()`` reads
+    a subclass's resolved parameter dataclass, ``params``.
     """
 
     kind = "abstract"
 
     def __init__(self, delay_ms: float = 0.0):
+        if not delay_ms >= 0:
+            raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
         self.delay_ms = float(delay_ms)
         self._count = 0
         self._count_lock = threading.Lock()
@@ -66,6 +71,33 @@ class StabilityOracle:
 
     def _evaluate(self, point: np.ndarray) -> float:
         raise NotImplementedError
+
+    def config(self) -> dict:
+        """Kind and resolved parameters: everything the outputs depend on."""
+        return {"kind": self.kind, **asdict(self.params)}
+
+
+@dataclass(frozen=True)
+class DampingParams:
+    """Config of a :class:`DampingSurrogate`; without ``linear``, the
+    coefficients are drawn from ``seed`` over the ``informative`` indices."""
+
+    seed: int = 0
+    b0: float = 5.0
+    informative: list[int] | None = None
+    linear: dict[str, float] | None = None
+    quadratic: list[list[float]] | None = None
+    delay_ms: float = 0.0
+
+
+@dataclass(frozen=True)
+class TwoBusParams:
+    """Config of a :class:`TwoBusMargin`."""
+
+    E: float = 1.0
+    X: float = 0.5
+    load_columns: list[int] | None = None
+    delay_ms: float = 0.0
 
 
 class DampingSurrogate(StabilityOracle):
@@ -87,8 +119,9 @@ class DampingSurrogate(StabilityOracle):
         self.quadratic = {
             (int(i), int(j)): float(c) for (i, j), c in (quadratic or {}).items()
         }
-        idx = set(self.linear) | {i for pair in self.quadratic for i in pair}
-        self.informative_indices = tuple(sorted(idx))
+        self.params = DampingParams(
+            b0=self.b0, linear={str(i): c for i, c in self.linear.items()},
+            quadratic=[[i, j, c] for (i, j), c in self.quadratic.items()], delay_ms=self.delay_ms)
 
     def _evaluate(self, point: np.ndarray) -> float:
         lam = self.b0
@@ -117,16 +150,9 @@ class DampingSurrogate(StabilityOracle):
         quadratic = {}
         for a, b in zip(idx, idx[1:]):
             quadratic[(a, b)] = float(rng.choice([-1.0, 1.0]) * rng.uniform(*quad_scale))
-        return cls(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
-
-    def config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "b0": self.b0,
-            "linear": {str(i): c for i, c in self.linear.items()},
-            "quadratic": [[i, j, c] for (i, j), c in self.quadratic.items()],
-            "delay_ms": self.delay_ms,
-        }
+        oracle = cls(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
+        oracle.params = replace(oracle.params, seed=seed, informative=idx)
+        return oracle
 
 
 def affine_demand_map(load_indices, E: float, X: float, headroom: float = 0.9):
@@ -170,24 +196,62 @@ class TwoBusMargin(StabilityOracle):
         super().__init__(delay_ms)
         if E <= 0 or X <= 0:
             raise ValueError("need E > 0 and X > 0")
-        self.E = float(E)
-        self.X = float(X)
-        self.load_indices = tuple(int(i) for i in (load_indices or ()))
+        E, X = float(E), float(X)
+        self.params = TwoBusParams(E, X, [int(i) for i in load_indices or ()], self.delay_ms)
         if demand_map is None:
-            demand_map = affine_demand_map(self.load_indices, self.E, self.X)
+            demand_map = affine_demand_map(self.params.load_columns, E, X)
         self.demand_map = demand_map
 
     def _evaluate(self, point: np.ndarray) -> float:
-        return two_bus_margin(point, self.E, self.X, self.demand_map)
+        return two_bus_margin(point, self.params.E, self.params.X, self.demand_map)
 
-    def config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "E": self.E,
-            "X": self.X,
-            "load_columns": list(self.load_indices),
-            "delay_ms": self.delay_ms,
-        }
+
+def _columns(indices, key: str, data) -> list[int]:
+    """``indices`` as attribute columns of ``data``, each in range."""
+    columns = [int(i) for i in indices]
+    for i in columns:
+        if not 0 <= i < data.n_attributes:
+            raise ValueError(f"{key} index {i} is out of range for {data.n_attributes} attributes")
+    return columns
+
+
+def _damping_surrogate(p: DampingParams, data) -> DampingSurrogate:
+    """The oracle ``p`` configures; the informative indices default to the dataset's."""
+    if p.linear is None:
+        informative = p.informative
+        if informative is None:
+            informative = data.metadata.get("informative_indices")
+        if not informative:
+            raise ValueError("damping_surrogate needs 'informative' indices or 'linear' "
+                             "coefficients (synthetic datasets provide them via metadata)")
+        return DampingSurrogate.from_seed(_columns(informative, "informative", data), seed=p.seed,
+                                          b0=p.b0, delay_ms=p.delay_ms)
+    entries = p.quadratic or []
+    if not isinstance(p.linear, dict):
+        raise ValueError("linear must be an object of index: coefficient pairs")
+    if not (isinstance(entries, list)
+            and all(isinstance(e, list) and len(e) == 3 for e in entries)):
+        raise ValueError("quadratic must be a list of [i, j, c] triples")
+    linear = dict(zip(_columns(p.linear, "linear", data), map(float, p.linear.values())))
+    quadratic = {tuple(_columns(e[:2], "quadratic", data)): float(e[2]) for e in entries}
+    return DampingSurrogate(p.b0, linear, quadratic, p.delay_ms)
+
+
+def _two_bus_margin(p: TwoBusParams, data) -> TwoBusMargin:
+    """The oracle ``p`` configures; the load columns default to the dataset's load_P ones."""
+    load_columns = p.load_columns
+    if load_columns is None:
+        load_columns = data.columns_of_kind(AttributeKind.LOAD_P)
+    if not load_columns:
+        raise ValueError("two_bus_margin found no load_P columns")
+    return TwoBusMargin(p.E, p.X, _columns(load_columns, "load_columns", data), delay_ms=p.delay_ms)
+
+
+# kind -> (parameter dataclass, factory(params, dataset) -> oracle)
+ORACLE_KINDS = {
+    DampingSurrogate.kind: (DampingParams, _damping_surrogate),
+    TwoBusMargin.kind: (TwoBusParams, _two_bus_margin),
+}
 
 
 class TabulatedOracle(StabilityOracle):

@@ -24,6 +24,10 @@ from .relief import FeatureReport, ReliefParams, select_features
 NEAR_ZERO_LAMBDA = 1e-9
 
 
+class FailedCentroidError(ValueError):
+    """The oracle failed at a cluster centroid, so its hours have no index."""
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Everything a scan needs besides the dataset and the oracle.
@@ -40,6 +44,8 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.C is not None and not self.C > 0:
+            raise ValueError("C must be > 0")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
         if self.seed < 0:
@@ -201,7 +207,7 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     Oracle evaluations are training_size + len(failed_hours) + k_final:
     one call per selection point, failed or not (successful results are
     cached per hour), and one per centroid; nothing else touches the
-    oracle.  A failed centroid call raises ``ValueError``.  A
+    oracle.  A failed centroid call raises :class:`FailedCentroidError`.  A
     non-converged feature selection proceeds with its latest weights and
     is flagged in the report.
 
@@ -225,8 +231,13 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
         model = cached_model
 
     t2 = time.perf_counter()
-    centroid_lam = evaluate_many(oracle, model.centroids)
+    centroid_lam = evaluate_many(oracle, model.centroids, catch_failures=True)
     t_centroid = time.perf_counter() - t2
+    failed = np.flatnonzero(np.isnan(centroid_lam)).tolist()
+    if failed:
+        raise FailedCentroidError(
+            f"oracle returned nan at points {failed} of the {model.k} centroids, or raised "
+            "there; no hour may inherit a failed call")
 
     lambda_hat = centroid_lam[model.assignment]
     return ScanReport(

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 import gridscan as gs
 from gridscan import cli, scanning
 from gridscan.cli import main
-from gridscan.oracles import DampingSurrogate
+from gridscan.oracles import ORACLE_KINDS, DampingSurrogate
 
 SMALL_CONFIG = {
     "dataset": {
@@ -21,6 +24,11 @@ SMALL_CONFIG = {
         "seed": 0,
     },
 }
+
+
+# An override that makes the oracle section a two-bus one; setting only
+# oracle.kind would leave the damping surrogate's seed in it.
+TWO_BUS = 'oracle={"kind": "two_bus_margin"}'
 
 
 @pytest.fixture()
@@ -130,14 +138,25 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     ("generate", "dataset.synthetic.n_hours=100.5"),
     ("generate", "dataset.synthetic.seed=-1"),
     ("generate", 'dataset.synthetic.seed="1"'),
+    ("select", "scan.C=-1"),
+    ("select", 'scan.C="abc"'),
+    ("fastscan", "scan.pso.c1=true"),
+    ("fastscan", "scan.adapt.eps_d=true"),
+    ("generate", "dataset.synthetic.noise_sigma=false"),
 ])
-def test_a_non_integer_or_negative_seed_exits_2(tmp_path, config_path, capsys, command,
-                                                override):
+def test_a_non_integer_or_negative_seed_exits_2(tmp_path, config_path, capsys, monkeypatch,
+                                                command, override):
+    # a float field takes an integer or a float, never a bool or a string;
+    # each value is refused before the oracle is called
+    build, built = cli.build_oracle, []
+    monkeypatch.setattr(cli, "build_oracle",
+                        lambda config, data: built.append(build(config, data)) or built[-1])
     out = tmp_path / "o"
     assert main([command, "--config", config_path, "--out", str(out), "--set", override]) == 2
     key = override.split("=")[0]
     _one_error_line(capsys, key.rsplit(".", 1)[1], key.rsplit(".", 1)[0])
     assert not any(out.iterdir())
+    assert all(oracle.eval_count == 0 for oracle in built)
 
 
 def test_a_config_directory_or_an_out_file_exits_2(tmp_path, config_path, capsys):
@@ -153,25 +172,78 @@ def test_a_config_directory_or_an_out_file_exits_2(tmp_path, config_path, capsys
 @pytest.mark.parametrize("overrides", [
     ['oracle.b0="abc"'],
     ['oracle.seed="abc"'],
-    ['oracle.kind="two_bus_margin"', "oracle.E=-1"],
+    [TWO_BUS, "oracle.E=-1"],
     ["oracle.linear=[1]"],
     ['oracle.linear={"0": 0.5}', "oracle.quadratic=[[0, 1]]"],
     ['oracle.linear={"0": 0.5}', "oracle.quadratic=[0, 1, 0.2]"],
     ['oracle.linear={"0": 0.5}', 'oracle.quadratic={"0": 1}'],
+    [TWO_BUS, "oracle.E=true"],
+    ["oracle.delay_ms=-5"],
+    [TWO_BUS, "oracle.delay_ms=-5"],
 ])
 def test_bad_oracle_value_exits_2(tmp_path, config_path, capsys, overrides):
     argv = ["fullscan", "--config", config_path, "--out", str(tmp_path / "o")]
     for entry in overrides:
         argv += ["--set", entry]
     assert main(argv) == 2
-    assert "error: oracle: " in capsys.readouterr().err
+    _one_error_line(capsys, "oracle", overrides[-1].split("=")[0].split(".")[1])
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("overrides, key", [
+    (["oracle.E=2"], "'oracle.E'"),
+    (["oracle.load_columns=[0]"], "'oracle.load_columns'"),
+    ([TWO_BUS, "oracle.b0=7"], "'oracle.b0'"),
+    ([TWO_BUS, "oracle.informative=[0]"], "'oracle.informative'"),
+    # the test config's oracle section holds the damping surrogate's seed
+    (['oracle.kind="two_bus_margin"'], "'oracle.seed'"),
+    (['oracle.kind="least_damped_mode"'], "'oracle.kind'"),
+    (["oracle.kind=3"], "'oracle.kind'"),
+])
+def test_a_key_of_another_oracle_kind_or_an_unknown_kind_exits_2(tmp_path, config_path, capsys,
+                                                                 command, overrides, key):
+    out = tmp_path / "o"
+    argv = [command, "--config", config_path, "--out", str(out)]
+    for entry in overrides:
+        argv += ["--set", entry]
+    assert main(argv) == 2
+    _one_error_line(capsys, key)
+    assert not out.exists()
+
+
+def test_each_oracle_kind_takes_the_fields_of_its_parameters_and_kind():
+    every = {f.name for params, _ in ORACLE_KINDS.values() for f in fields(params)}
+    for kind, (params, _) in ORACLE_KINDS.items():
+        own = {f.name for f in fields(params)}
+        accepted = {name for name in every if _loads(f'oracle.kind="{kind}"', f"oracle.{name}=1")}
+        assert accepted == own and "delay_ms" in own and _loads(f'oracle.kind="{kind}"'), kind
+
+
+def _loads(*overrides) -> bool:
+    try:
+        cli.load_config(None, overrides)
+    except cli.ConfigError:
+        return False
+    return True
+
+
+def test_the_readme_config_block_is_a_valid_config_of_the_default_scan(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    config = cli.load_config(str(path), [])
+    assert cli._build(scanning.ScanConfig, config["scan"], "scan") == scanning.ScanConfig()
+    data = cli.build_dataset(config, tmp_path)
+    assert data.n_points == 8760
+    assert cli.build_oracle(config, data).config()["seed"] == config["oracle"]["seed"]
 
 
 @pytest.mark.parametrize("command", ["fullscan", "fastscan"])
 @pytest.mark.parametrize("overrides, key", [
     (["oracle.informative=[0, 99]"], "informative"),
-    (['oracle.kind="two_bus_margin"', "oracle.load_columns=[99]"], "load_columns"),
-    (['oracle.kind="two_bus_margin"', "oracle.load_columns=[-1]"], "load_columns"),
+    ([TWO_BUS, "oracle.load_columns=[99]"], "load_columns"),
+    ([TWO_BUS, "oracle.load_columns=[-1]"], "load_columns"),
     (['oracle.linear={"0": 0.5, "6": 1.0}'], "linear"),
     (['oracle.linear={"0": 0.5}', "oracle.quadratic=[[0, 99, 0.2]]"], "quadratic"),
 ])
@@ -294,7 +366,7 @@ def test_staged_run_clusters_once_and_matches_fresh_runs(tmp_path, csv_config_pa
 
 @pytest.mark.parametrize("override", [
     "dataset.synthetic.seed=6", "oracle.seed=3", "scan.seed=1", "scan.pso.n_iter=5",
-    "scan.adapt.max_outer=30",
+    "scan.adapt.max_outer=30", "oracle.informative=[1, 0]",
 ])
 def test_a_changed_key_component_reclusters(tmp_path, config_path, capsys, override):
     out, fresh = tmp_path / "out", tmp_path / "fresh"
@@ -305,6 +377,18 @@ def test_a_changed_key_component_reclusters(tmp_path, config_path, capsys, overr
     assert json.loads((out / "timing.json").read_text())["clustering_reused"] is False
     assert main(["fastscan", "--config", config_path, "--out", str(fresh), "--set", override]) == 0
     assert _manifest_files(out) == _manifest_files(fresh)
+
+
+def test_an_oracle_config_that_resolves_alike_reuses_the_clustering(tmp_path, config_path,
+                                                                    capsys):
+    # the key holds the resolved parameters: the test year's informative
+    # attributes are 0 and 1, so naming them builds the same oracle
+    out = tmp_path / "out"
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["fastscan", "--config", config_path, "--out", str(out),
+                 "--set", "oracle.informative=[0, 1]"]) == 0
+    assert "clustering=reused" in capsys.readouterr().out
 
 
 def test_another_program_version_reclusters(tmp_path, config_path, capsys, monkeypatch):
@@ -509,6 +593,31 @@ class _FailingSurrogate(DampingSurrogate):
         if point.tobytes() in self.bad:
             raise RuntimeError("solver diverged")
         return super()._evaluate(point)
+
+
+class _OffDataFailure(DampingSurrogate):
+    """A surrogate whose solver fails at every point that is no hour of ``data``."""
+
+    def __init__(self, base, data):
+        super().__init__(base.b0, base.linear, base.quadratic)
+        self.hours = {p.tobytes() for p in data.values}
+
+    def _evaluate(self, point):
+        if point.tobytes() not in self.hours:
+            raise RuntimeError("solver diverged")
+        return super()._evaluate(point)
+
+
+@pytest.mark.parametrize("command", ["fastscan", "compare"])
+def test_a_failed_call_at_a_centroid_exits_2(tmp_path, config_path, capsys, monkeypatch,
+                                             command):
+    build = cli.build_oracle
+    monkeypatch.setattr(cli, "build_oracle",
+                        lambda config, data: _OffDataFailure(build(config, data), data))
+    out = tmp_path / "o"
+    assert main([command, "--config", config_path, "--out", str(out)]) == 2
+    _one_error_line(capsys, "oracle returned nan at points [", "centroids, or raised there")
+    assert not (out / "scan_report.json").exists()
 
 
 def test_compare_then_worstcase_on_a_partial_full_scan(tmp_path, config_path, monkeypatch):
