@@ -9,11 +9,13 @@ re-running with the same config reproduces identical outputs (wall-clock
 numbers live in the separate, unchecksummed ``timing.json``).  ``select``
 and ``cluster`` run the stages of :func:`~gridscan.scanning.fast_scan` on
 its seeds, so they write the artifacts ``fastscan`` would.  Artifacts that
-later commands reuse (``feature_report.json``, ``cluster_model.json``,
-``full_trace.csv``) get a ``<name>.meta.json`` key naming what they were
-computed from; they are reused only while that key matches.  A dataset
-CSV is parsed once per ``--out``: the parse is kept in ``dataset.npz``,
-keyed by the program version and the CSV's bytes.
+later commands reuse (``dataset.npz``, ``feature_report.json``,
+``cluster_model.json``, ``full_trace.csv``, ``scan_report.json``) get a
+``<name>.meta.json`` key naming what they were computed from; one reader,
+``_stored``, reuses them only while that key matches, and an artifact that
+does not load is no cache.  A dataset CSV is parsed once per ``--out``:
+the parse is kept in ``dataset.npz``, keyed by the program version and the
+CSV's bytes.
 
 Exit codes: 0 success, 2 config/validation error or a dataset the
 pipeline cannot scan (Relief's neighbours all share one stability index,
@@ -28,6 +30,7 @@ import hashlib
 import json
 import sys
 import typing
+import zipfile
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from types import NoneType
@@ -183,27 +186,13 @@ def _csv_dataset(path: Path, out: Path) -> OperatingPointSet:
     """``load_csv(path)``, from ``out/dataset.npz`` when that holds the parse
     of these bytes by this program version; else parsed and saved there."""
     key = {"version": __version__, "csv_sha256": _sha256_file(path)}
-    data = _cached_dataset(out, key)
+    data = _stored(out, "dataset.npz", key)
     if data is None:
         data = load_csv(path)
         np.savez(out / "dataset.npz", values=data.values, timestamps=data.timestamps)
         attributes = [{**asdict(a), "kind": a.kind.value} for a in data.attributes]
         _write_keyed(out, "dataset.npz", key, attributes=attributes)
     return data
-
-
-def _cached_dataset(out: Path, key: dict) -> OperatingPointSet | None:
-    meta = _read_keyed(out, "dataset.npz", key)
-    if meta is None:
-        return None
-    try:
-        with np.load(out / "dataset.npz") as arrays:
-            return OperatingPointSet(
-                attributes=[Attribute(a["name"], AttributeKind(a["kind"]), a["raw_min"],
-                                      a["raw_max"]) for a in meta["attributes"]],
-                values=arrays["values"], timestamps=arrays["timestamps"])
-    except (KeyError, TypeError, ValueError):  # the key matches, the attributes were edited
-        return None
 
 
 def _synthetic_config(config: dict) -> SyntheticYearConfig:
@@ -287,21 +276,47 @@ def _write_keyed(out: Path, name: str, key: dict, **recorded):
     _meta_path(out, name).write_text(json.dumps(meta, indent=2))
 
 
-def _read_keyed(out: Path, name: str, key: dict) -> dict | None:
-    """The meta file of artifact ``name`` if it was written under ``key`` and
-    the artifact still has the bytes it names; None when either file is
-    missing or unreadable."""
+def _load(path: Path, meta: dict):
+    """What the keyed artifact at ``path`` holds, with what its meta file records."""
+    match path.name:
+        case "dataset.npz":
+            with np.load(path) as arrays:
+                return OperatingPointSet(
+                    attributes=[Attribute(a["name"], AttributeKind(a["kind"]), a["raw_min"],
+                                          a["raw_max"]) for a in meta["attributes"]],
+                    values=arrays["values"], timestamps=arrays["timestamps"])
+        case "feature_report.json":  # the distance weights
+            rows = json.loads(path.read_text())["attributes"]
+            return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
+        case "cluster_model.json":
+            model = ClusterModel.load_json(path)
+            model.elapsed_s = float(meta["clustering_s"])
+            return model
+        case "full_trace.csv":
+            trace = StabilityTrace.load_csv(path, kind=meta["oracle"]["kind"])
+            trace.elapsed_s = float(meta["elapsed_s"])
+            return trace
+        case "scan_report.json":  # the fast trace
+            payload = json.loads(path.read_text())
+            return StabilityTrace(hours=payload["hours"], lam=payload["lambda_hat"], kind="fast")
+    raise NotImplementedError(f"no reader for {path.name}")
+
+
+def _stored(out: Path, name: str, key: dict):
+    """What artifact ``name`` holds if its meta file was written under ``key``
+    and the artifact still has the bytes it records; None when either file
+    is missing, unreadable or edited, or the artifact does not load."""
     try:
         meta = json.loads(_meta_path(out, name).read_text())
         fresh = (isinstance(meta, dict) and all(meta.get(k) == v for k, v in key.items())
                  and meta.get("sha256") == _sha256_file(out / name))
-    except (OSError, ValueError):
+        return _load(out / name, meta) if fresh else None
+    except (OSError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
         return None
-    return meta if fresh else None
 
 
 def _write_full_trace(out: Path, trace: StabilityTrace, data, oracle):
-    """``full_trace.csv`` plus the meta file that keys its reuse by compare."""
+    """``full_trace.csv`` plus the meta file that keys its reuse by later commands."""
     trace.save_csv(out / "full_trace.csv")
     _write_keyed(out, "full_trace.csv", _cache_key(data, oracle),
                  elapsed_s=trace.elapsed_s, partial=trace.partial)
@@ -313,6 +328,9 @@ def cmd_generate(args, out: Path, config: dict) -> int:
         print(f"error: {target} exists; pass --force to overwrite", file=sys.stderr)
         return 2
     data = generate_synthetic_year(_synthetic_config(config))
+    # a value the later commands would refuse is refused before anything is written
+    build_oracle(config, data)
+    _build(ScanConfig, config.get("scan"), "scan")
     save_csv(data, target)
     write_manifest(out, "generate", config, ["dataset.csv", "dataset.csv.norm.json"])
     print(f"wrote {target} ({data.n_points} hours x {data.n_attributes} attributes)")
@@ -332,24 +350,6 @@ def _write_model(out: Path, model: ClusterModel, data, key: dict):
     _write_keyed(out, "cluster_model.json", key, clustering_s=model.elapsed_s)
 
 
-def _recorded_seconds(meta: dict | None, field: str) -> float | None:
-    """``meta[field]`` as seconds; None without a meta file, or when the
-    field was edited away (the key matches, the record does not)."""
-    try:
-        return float(meta[field])
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
-def _cached_model(out: Path, key: dict) -> ClusterModel | None:
-    clustering_s = _recorded_seconds(_read_keyed(out, "cluster_model.json", key), "clustering_s")
-    if clustering_s is None:
-        return None
-    model = ClusterModel.load_json(out / "cluster_model.json")
-    model.elapsed_s = clustering_s
-    return model
-
-
 def cmd_select(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     report = select_stage(data, oracle, scan)
@@ -362,19 +362,13 @@ def cmd_select(args, out: Path, config: dict) -> int:
     return 0 if report.converged else 3
 
 
-def _weights_for_cluster(out: Path, data, oracle, scan: ScanConfig, key: dict) -> np.ndarray:
-    """Distance weights of ``feature_report.json`` if it was selected under
-    ``key``, else a fresh selection stage's."""
-    if _read_keyed(out, "feature_report.json", key) is not None:
-        rows = json.loads((out / "feature_report.json").read_text())["attributes"]
-        return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
-    return select_stage(data, oracle, scan).distance_weights()
-
-
 def cmd_cluster(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    model, _ = cluster_stage(data, _weights_for_cluster(out, data, oracle, scan, key), scan)
+    weights = _stored(out, "feature_report.json", key)
+    if weights is None:
+        weights = select_stage(data, oracle, scan).distance_weights()
+    model, _ = cluster_stage(data, weights, scan)
     _write_model(out, model, data, key)
     write_manifest(out, "cluster", config, ["cluster_model.json", "assignment.csv"])
     print(f"clustering: k={model.k} smse={model.smse:.6f} converged={model.converged}")
@@ -383,11 +377,17 @@ def cmd_cluster(args, out: Path, config: dict) -> int:
 
 def cmd_fullscan(args, out: Path, config: dict) -> int:
     data, oracle, _ = _pipeline_inputs(config, out)
-    trace = full_scan(data, oracle)
+    stored = _stored(out, "full_trace.csv", _cache_key(data, oracle))
+    if stored is not None:
+        stored.require_hours(data.timestamps, "stored")
+    # a stored trace is paid for except at its failed hours
+    todo = data.n_points if stored is None else len(stored.failed_hours)
+    trace = full_scan(data, oracle, resume=stored) if stored is None or stored.partial else stored
     _write_full_trace(out, trace, data, oracle)
     trace.save_json(out / "full_trace.json")
     write_manifest(out, "fullscan", config, ["full_trace.csv", "full_trace.json"])
-    print(f"full scan: {len(trace.lam)} evaluations in {trace.elapsed_s:.2f} s")
+    print(f"full scan: {todo} of {len(trace.lam)} hours evaluated; "
+          f"the trace took {trace.elapsed_s:.2f} s")
     return 0
 
 
@@ -411,10 +411,10 @@ def _clustering_flag(model) -> str:
 def cmd_fastscan(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    model = _cached_model(out, key)
+    model = _stored(out, "cluster_model.json", key)
     report = fast_scan(data, oracle, scan, cached_model=model)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed,
-                      known=_cached_full_trace(out, data, oracle))
+                      known=_stored(out, "full_trace.csv", _cache_key(data, oracle)))
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     write_manifest(out, "fastscan", config, artifacts)
     print(
@@ -425,20 +425,11 @@ def cmd_fastscan(args, out: Path, config: dict) -> int:
     return 3 if report.flagged else 0
 
 
-def _cached_full_trace(out: Path, data, oracle) -> StabilityTrace | None:
-    elapsed_s = _recorded_seconds(_read_keyed(out, "full_trace.csv", _cache_key(data, oracle)),
-                                  "elapsed_s")
-    if elapsed_s is None:
-        return None
-    trace = StabilityTrace.load_csv(out / "full_trace.csv", kind=oracle.kind)
-    trace.elapsed_s = elapsed_s
-    return trace
-
-
 def cmd_compare(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    cached, model = _cached_full_trace(out, data, oracle), _cached_model(out, key)
+    cached = _stored(out, "full_trace.csv", _cache_key(data, oracle))
+    model = _stored(out, "cluster_model.json", key)
     report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
@@ -458,15 +449,13 @@ def cmd_worstcase(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     which = (config.get("worstcase") or {}).get("trace", "full")
     if which == "full":
-        trace, name, command = _cached_full_trace(out, data, oracle), "full_trace.csv", "fullscan"
+        name, key, command = "full_trace.csv", _cache_key(data, oracle), "fullscan"
     elif which == "fast":
-        trace, name, command = None, "scan_report.json", "fastscan"
-        if _read_keyed(out, name, _cache_key(data, oracle, scan)) is not None:
-            payload = json.loads((out / name).read_text())
-            trace = StabilityTrace(hours=payload["hours"], lam=payload["lambda_hat"], kind="fast")
+        name, key, command = "scan_report.json", _cache_key(data, oracle, scan), "fastscan"
     else:
         print(f"error: worstcase.trace must be 'full' or 'fast', got {which!r}", file=sys.stderr)
         return 2
+    trace = _stored(out, name, key)
     if trace is None:
         print(f"error: no {out / name} computed from this config; run {command} first",
               file=sys.stderr)

@@ -143,6 +143,9 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     ("fastscan", "scan.pso.c1=true"),
     ("fastscan", "scan.adapt.eps_d=true"),
     ("generate", "dataset.synthetic.noise_sigma=false"),
+    # generate checks the sections later commands read, not only its own
+    ("generate", "scan.seed=1.5"),
+    ("generate", "scan.seed=-1"),
 ])
 def test_a_non_integer_or_negative_seed_exits_2(tmp_path, config_path, capsys, monkeypatch,
                                                 command, override):
@@ -182,11 +185,12 @@ def test_a_config_directory_or_an_out_file_exits_2(tmp_path, config_path, capsys
     [TWO_BUS, "oracle.delay_ms=-5"],
 ])
 def test_bad_oracle_value_exits_2(tmp_path, config_path, capsys, overrides):
-    argv = ["fullscan", "--config", config_path, "--out", str(tmp_path / "o")]
-    for entry in overrides:
-        argv += ["--set", entry]
-    assert main(argv) == 2
-    _one_error_line(capsys, "oracle", overrides[-1].split("=")[0].split(".")[1])
+    sets = [arg for entry in overrides for arg in ("--set", entry)]
+    for command in ("fullscan", "generate"):
+        out = tmp_path / command
+        assert main([command, "--config", config_path, "--out", str(out)] + sets) == 2
+        _one_error_line(capsys, "oracle", overrides[-1].split("=")[0].split(".")[1])
+        assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -401,18 +405,46 @@ def test_another_program_version_reclusters(tmp_path, config_path, capsys, monke
     assert "clustering=computed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damaged", ["cluster_model.json", "cluster_model.meta.json"])
+# keyed artifact -> (the command that writes it, the command that reuses it,
+# what that command prints when it finds no cache)
+_REUSED = {
+    "feature_report.json": ("select", "cluster", "selected"),
+    "cluster_model.json": ("cluster", "fastscan", "clustering=computed"),
+    "full_trace.csv": ("fullscan", "compare", "cached=False"),
+    "scan_report.json": ("fastscan", "worstcase", "run fastscan first"),
+}
+
+
+@pytest.mark.parametrize("damaged", ["cluster_model.json", "cluster_model.meta.json",
+                                     "feature_report.json", "full_trace.csv", "scan_report.json"])
 @pytest.mark.parametrize("content", ["{not json", "[]", '{"k": 1}'])
-def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, damaged,
-                                                content):
-    out = tmp_path / "out"
-    assert main(["cluster", "--config", config_path, "--out", str(out)]) == 0
-    model = (out / "cluster_model.json").read_bytes()
+def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, monkeypatch,
+                                                damaged, content):
+    # a damaged key file, or an artifact that does not load although its key
+    # file names its bytes, is no cache: the command recomputes, or asks for
+    # the command that writes it
+    artifact = damaged.replace(".meta.json", ".json")
+    writer, reader, printed = _REUSED[artifact]
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main([writer, "--config", config_path, "--out", str(out)]) == 0
     (out / damaged).write_text(content)
+    if damaged == artifact:
+        meta_path = cli._meta_path(out, artifact)
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "sha256": sha(out / artifact)}))
+    select = cli.select_stage
+    monkeypatch.setattr(cli, "select_stage", lambda *args: print("selected") or select(*args))
     capsys.readouterr()
-    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
-    assert "clustering=computed" in capsys.readouterr().out
-    assert (out / "cluster_model.json").read_bytes() == model
+    if reader == "worstcase":
+        argv = [reader, "--config", config_path, "--out", str(out)]
+        assert main(argv + ["--set", 'worstcase.trace="fast"']) == 2
+        assert printed in capsys.readouterr().err
+        assert not (out / "worst_case.json").exists()
+        return
+    assert main([reader, "--config", config_path, "--out", str(out)]) == 0
+    assert printed in capsys.readouterr().out
+    assert main([reader, "--config", config_path, "--out", str(fresh)]) == 0
+    assert _manifest_files(out) == _manifest_files(fresh)
 
 
 @pytest.mark.parametrize("meta_file, field, printed", [
@@ -500,6 +532,15 @@ def _drop_attribute_kinds(out, path):
     (out / "dataset.meta.json").write_text(json.dumps(meta))
 
 
+def _rekeyed_npz(edit):
+    """``dataset.npz`` edited by ``edit(bytes)``, with a key file that names the new bytes."""
+    def damage(out, path):
+        npz, meta_path = out / "dataset.npz", out / "dataset.meta.json"
+        npz.write_bytes(edit(npz.read_bytes()))
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "sha256": sha(npz)}))
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     _edit_csv,
     lambda out, path: (out / "dataset.npz").write_bytes(b"not an npz"),
@@ -510,8 +551,12 @@ def _drop_attribute_kinds(out, path):
     lambda out, path: (out / "dataset.meta.json").unlink(),
     _drop_attribute_kinds,
     lambda out, path: setattr(cli, "__version__", "0.0.0"),
+    _rekeyed_npz(lambda npz: b"not an npz"),
+    _rekeyed_npz(lambda npz: npz[:-9]),
+    _rekeyed_npz(lambda npz: b""),
 ], ids=["edited-csv", "npz-garbage", "npz-truncated", "meta-not-json", "meta-list",
-        "meta-other-key", "meta-deleted", "meta-without-kinds", "other-version"])
+        "meta-other-key", "meta-deleted", "meta-without-kinds", "other-version",
+        "rekeyed-npz-garbage", "rekeyed-npz-truncated", "rekeyed-npz-empty"])
 def test_a_changed_csv_or_a_damaged_cache_reparses(tmp_path, monkeypatch, damage):
     path, out = _odd_year_csv(tmp_path), tmp_path / "out"
     out.mkdir()
@@ -656,6 +701,59 @@ def test_second_compare_evaluates_only_the_failed_hours(tmp_path, config_path, m
     assert (out / "full_trace.csv").read_bytes() == trace
     timing = json.loads((out / "timing.json").read_text())
     assert timing["timing"]["full_scan_s"] == meta["elapsed_s"] > first["elapsed_s"]
+
+
+@pytest.mark.parametrize("writer", ["fullscan", "compare"])
+def test_fullscan_reuses_a_stored_full_trace(tmp_path, config_path, capsys, monkeypatch, writer):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(["fullscan", "--config", config_path, "--out", str(fresh)]) == 0
+    assert main([writer, "--config", config_path, "--out", str(out)]) == 0
+    meta = json.loads((out / "full_trace.meta.json").read_text())
+    build, built = cli.build_oracle, []
+    monkeypatch.setattr(cli, "build_oracle",
+                        lambda config, data: built.append(build(config, data)) or built[-1])
+    capsys.readouterr()
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    assert built[-1].eval_count == 0
+    assert "0 of 300 hours evaluated" in capsys.readouterr().out
+    assert json.loads((out / "full_trace.meta.json").read_text()) == meta
+    assert _manifest_files(out) == _manifest_files(fresh)
+
+
+def test_second_fullscan_evaluates_only_the_failed_hours(tmp_path, config_path, capsys,
+                                                          monkeypatch):
+    build, built = cli.build_oracle, []
+
+    def failing(config, data):
+        built.append(_FailingSurrogate(build(config, data), data.values[[3, 77]]))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_oracle", failing)
+    out = tmp_path / "out"
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    first = json.loads((out / "full_trace.meta.json").read_text())
+    trace = (out / "full_trace.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    assert built[-1].eval_count == 2
+    assert "2 of 300 hours evaluated" in capsys.readouterr().out
+    meta = json.loads((out / "full_trace.meta.json").read_text())
+    assert meta["partial"] is True
+    assert (out / "full_trace.csv").read_bytes() == trace
+    assert meta["elapsed_s"] > first["elapsed_s"]
+
+
+def test_fullscan_refuses_a_stored_trace_of_other_hours(tmp_path, config_path):
+    # the key file names the edited bytes, which load but hold one hour of 300
+    out = tmp_path / "out"
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    (out / "full_trace.csv").write_text("hour,lambda\n0,0.5\n")
+    meta = json.loads((out / "full_trace.meta.json").read_text())
+    (out / "full_trace.meta.json").write_text(
+        json.dumps({**meta, "sha256": sha(out / "full_trace.csv")}))
+    with pytest.raises(ValueError, match="stored trace covers other hours"):
+        main(["fullscan", "--config", config_path, "--out", str(out)])
+    assert (out / "full_trace.csv").read_text() == "hour,lambda\n0,0.5\n"
 
 
 def test_compare_caps_the_sample_at_the_hours_the_full_scan_resolved(tmp_path, config_path,
