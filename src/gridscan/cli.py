@@ -13,9 +13,9 @@ later commands reuse (``dataset.npz``, ``feature_report.json``,
 ``cluster_model.json``, ``full_trace.csv``, ``scan_report.json``) get a
 ``<name>.meta.json`` key naming what they were computed from; one reader,
 ``_stored``, reuses them only while that key matches, and an artifact that
-does not load is no cache.  A dataset CSV is parsed once per ``--out``:
-the parse is kept in ``dataset.npz``, keyed by the program version and the
-CSV's bytes.
+does not load or does not fit the dataset is no cache.  A dataset CSV is
+parsed once per ``--out``: the parse is kept in ``dataset.npz``, keyed by
+the program version and the CSV's bytes.
 
 Exit codes: 0 success, 2 config/validation error or a dataset the
 pipeline cannot scan (Relief's neighbours all share one stability index,
@@ -276,8 +276,9 @@ def _write_keyed(out: Path, name: str, key: dict, **recorded):
     _meta_path(out, name).write_text(json.dumps(meta, indent=2))
 
 
-def _load(path: Path, meta: dict):
-    """What the keyed artifact at ``path`` holds, with what its meta file records."""
+def _load(path: Path, meta: dict, data):
+    """What the keyed artifact at ``path`` holds, with what its meta file
+    records; ``ValueError`` if it does not fit ``data``, the run's dataset."""
     match path.name:
         case "dataset.npz":
             with np.load(path) as arrays:
@@ -287,6 +288,8 @@ def _load(path: Path, meta: dict):
                     values=arrays["values"], timestamps=arrays["timestamps"])
         case "feature_report.json":  # the distance weights
             rows = json.loads(path.read_text())["attributes"]
+            if len(rows) != data.n_attributes:
+                raise ValueError(f"{path} weighs other attributes than the dataset")
             return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
         case "cluster_model.json":
             model = ClusterModel.load_json(path)
@@ -295,22 +298,25 @@ def _load(path: Path, meta: dict):
         case "full_trace.csv":
             trace = StabilityTrace.load_csv(path, kind=meta["oracle"]["kind"])
             trace.elapsed_s = float(meta["elapsed_s"])
-            return trace
         case "scan_report.json":  # the fast trace
             payload = json.loads(path.read_text())
-            return StabilityTrace(hours=payload["hours"], lam=payload["lambda_hat"], kind="fast")
-    raise NotImplementedError(f"no reader for {path.name}")
+            trace = StabilityTrace(hours=payload["hours"], lam=payload["lambda_hat"], kind="fast")
+        case _:
+            raise NotImplementedError(f"no reader for {path.name}")
+    trace.require_hours(data.timestamps, "stored")
+    return trace
 
 
-def _stored(out: Path, name: str, key: dict):
+def _stored(out: Path, name: str, key: dict, data=None):
     """What artifact ``name`` holds if its meta file was written under ``key``
     and the artifact still has the bytes it records; None when either file
-    is missing, unreadable or edited, or the artifact does not load."""
+    is missing, unreadable or edited, or the artifact does not load or does
+    not fit ``data``, the run's dataset (not needed for ``dataset.npz``)."""
     try:
         meta = json.loads(_meta_path(out, name).read_text())
         fresh = (isinstance(meta, dict) and all(meta.get(k) == v for k, v in key.items())
                  and meta.get("sha256") == _sha256_file(out / name))
-        return _load(out / name, meta) if fresh else None
+        return _load(out / name, meta, data) if fresh else None
     except (OSError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
         return None
 
@@ -331,6 +337,7 @@ def cmd_generate(args, out: Path, config: dict) -> int:
     # a value the later commands would refuse is refused before anything is written
     build_oracle(config, data)
     _build(ScanConfig, config.get("scan"), "scan")
+    _worstcase_trace(config)
     save_csv(data, target)
     write_manifest(out, "generate", config, ["dataset.csv", "dataset.csv.norm.json"])
     print(f"wrote {target} ({data.n_points} hours x {data.n_attributes} attributes)")
@@ -365,7 +372,7 @@ def cmd_select(args, out: Path, config: dict) -> int:
 def cmd_cluster(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    weights = _stored(out, "feature_report.json", key)
+    weights = _stored(out, "feature_report.json", key, data)
     if weights is None:
         weights = select_stage(data, oracle, scan).distance_weights()
     model, _ = cluster_stage(data, weights, scan)
@@ -377,12 +384,10 @@ def cmd_cluster(args, out: Path, config: dict) -> int:
 
 def cmd_fullscan(args, out: Path, config: dict) -> int:
     data, oracle, _ = _pipeline_inputs(config, out)
-    stored = _stored(out, "full_trace.csv", _cache_key(data, oracle))
-    if stored is not None:
-        stored.require_hours(data.timestamps, "stored")
+    stored = _stored(out, "full_trace.csv", _cache_key(data, oracle), data)
     # a stored trace is paid for except at its failed hours
     todo = data.n_points if stored is None else len(stored.failed_hours)
-    trace = full_scan(data, oracle, resume=stored) if stored is None or stored.partial else stored
+    trace = full_scan(data, oracle, resume=stored)
     _write_full_trace(out, trace, data, oracle)
     trace.save_json(out / "full_trace.json")
     write_manifest(out, "fullscan", config, ["full_trace.csv", "full_trace.json"])
@@ -411,10 +416,10 @@ def _clustering_flag(model) -> str:
 def cmd_fastscan(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    model = _stored(out, "cluster_model.json", key)
+    model = _stored(out, "cluster_model.json", key, data)
     report = fast_scan(data, oracle, scan, cached_model=model)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed,
-                      known=_stored(out, "full_trace.csv", _cache_key(data, oracle)))
+                      known=_stored(out, "full_trace.csv", _cache_key(data, oracle), data))
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
     write_manifest(out, "fastscan", config, artifacts)
     print(
@@ -428,8 +433,8 @@ def cmd_fastscan(args, out: Path, config: dict) -> int:
 def cmd_compare(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    cached = _stored(out, "full_trace.csv", _cache_key(data, oracle))
-    model = _stored(out, "cluster_model.json", key)
+    cached = _stored(out, "full_trace.csv", _cache_key(data, oracle), data)
+    model = _stored(out, "cluster_model.json", key, data)
     report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
     artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
@@ -445,17 +450,19 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     return 3 if report.flagged else 0
 
 
-def cmd_worstcase(args, out: Path, config: dict) -> int:
-    data, oracle, scan = _pipeline_inputs(config, out)
+def _worstcase_trace(config: dict) -> tuple[str, str]:
+    """The stored trace ``worstcase`` reads and the command that writes it."""
     which = (config.get("worstcase") or {}).get("trace", "full")
-    if which == "full":
-        name, key, command = "full_trace.csv", _cache_key(data, oracle), "fullscan"
-    elif which == "fast":
-        name, key, command = "scan_report.json", _cache_key(data, oracle, scan), "fastscan"
-    else:
-        print(f"error: worstcase.trace must be 'full' or 'fast', got {which!r}", file=sys.stderr)
-        return 2
-    trace = _stored(out, name, key)
+    if which not in ("full", "fast"):
+        raise ConfigError(f"worstcase.trace must be 'full' or 'fast', got {which!r}")
+    return ("full_trace.csv", "fullscan") if which == "full" else ("scan_report.json", "fastscan")
+
+
+def cmd_worstcase(args, out: Path, config: dict) -> int:
+    name, command = _worstcase_trace(config)
+    data, oracle, scan = _pipeline_inputs(config, out)
+    key = _cache_key(data, oracle, scan if command == "fastscan" else None)
+    trace = _stored(out, name, key, data)
     if trace is None:
         print(f"error: no {out / name} computed from this config; run {command} first",
               file=sys.stderr)

@@ -393,7 +393,8 @@ def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTr
     for (an earlier scan's, or the feature selection's that
     ``compare_full_vs_fast`` seeds it with), only its NaN hours are
     evaluated; the rest keep its values, and ``elapsed_s`` is its
-    recorded time plus this sweep's.
+    recorded time plus this sweep's (a complete one makes no sweep and
+    keeps its recorded time).
     """
     lam, rows, elapsed = np.full(data.n_points, math.nan), np.arange(data.n_points), 0.0
     if resume is not None:
@@ -401,9 +402,10 @@ def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTr
         lam = resume.lam.copy()
         rows = np.flatnonzero(np.isnan(lam))
         elapsed = resume.elapsed_s
-    start = time.perf_counter()
-    lam[rows] = evaluate_many(oracle, data.values[rows], catch_failures=True)
-    elapsed += time.perf_counter() - start
+    if len(rows):
+        start = time.perf_counter()
+        lam[rows] = evaluate_many(oracle, data.values[rows], catch_failures=True)
+        elapsed += time.perf_counter() - start
     return StabilityTrace(
         hours=data.timestamps.copy(),
         lam=lam,

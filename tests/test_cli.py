@@ -146,6 +146,8 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     # generate checks the sections later commands read, not only its own
     ("generate", "scan.seed=1.5"),
     ("generate", "scan.seed=-1"),
+    ("generate", 'worstcase.trace="x"'),
+    ("worstcase", 'worstcase.trace="x"'),
 ])
 def test_a_non_integer_or_negative_seed_exits_2(tmp_path, config_path, capsys, monkeypatch,
                                                 command, override):
@@ -415,20 +417,40 @@ _REUSED = {
 }
 
 
-@pytest.mark.parametrize("damaged", ["cluster_model.json", "cluster_model.meta.json",
-                                     "feature_report.json", "full_trace.csv", "scan_report.json"])
-@pytest.mark.parametrize("content", ["{not json", "[]", '{"k": 1}'])
+_CONTENTS = ["{not json", "[]", '{"k": 1}']
+# an artifact or key file given another content, the key file rewritten
+# to name the new bytes or not
+_DAMAGE = (
+    [pytest.param(content, damaged, False, id=f"{content}-{damaged}")
+     for content in _CONTENTS for damaged in ("cluster_model.json", "cluster_model.meta.json")]
+    # content that does not load, or that loads but does not fit the dataset
+    + [pytest.param(content, artifact, True, id=f"{content}-rekeyed-{artifact}")
+       for content in _CONTENTS for artifact in _REUSED]
+    + [pytest.param("hour,lambda\n0,0.5\n", "full_trace.csv", True,
+                    id="one-hour-rekeyed-full_trace.csv"),
+       pytest.param('{"hours": [0], "lambda_hat": [0.5]}', "scan_report.json", True,
+                    id="one-hour-rekeyed-scan_report.json"),
+       pytest.param('{"attributes": [{"adjusted_weight": 1.0}]}', "feature_report.json", True,
+                    id="one-weight-rekeyed-feature_report.json")]
+    # the artifact's own bytes plus a newline still load: the checksum decides
+    + [pytest.param(None, artifact, False, id=f"edited-{artifact}") for artifact in _REUSED]
+)
+
+
+@pytest.mark.parametrize("content, damaged, rekey", _DAMAGE)
 def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, monkeypatch,
-                                                damaged, content):
-    # a damaged key file, or an artifact that does not load although its key
-    # file names its bytes, is no cache: the command recomputes, or asks for
-    # the command that writes it
+                                                content, damaged, rekey):
+    # a damaged key file, an artifact its key file does not name, or one
+    # that does not load or fit although its key file names its bytes, is
+    # no cache: the command recomputes, or asks for the command that writes it
     artifact = damaged.replace(".meta.json", ".json")
     writer, reader, printed = _REUSED[artifact]
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert main([writer, "--config", config_path, "--out", str(out)]) == 0
+    if content is None:
+        content = (out / damaged).read_text() + "\n"
     (out / damaged).write_text(content)
-    if damaged == artifact:
+    if rekey:
         meta_path = cli._meta_path(out, artifact)
         meta = json.loads(meta_path.read_text())
         meta_path.write_text(json.dumps({**meta, "sha256": sha(out / artifact)}))
@@ -743,17 +765,19 @@ def test_second_fullscan_evaluates_only_the_failed_hours(tmp_path, config_path, 
     assert meta["elapsed_s"] > first["elapsed_s"]
 
 
-def test_fullscan_refuses_a_stored_trace_of_other_hours(tmp_path, config_path):
+def test_fullscan_recomputes_a_stored_trace_of_other_hours(tmp_path, config_path, capsys):
     # the key file names the edited bytes, which load but hold one hour of 300
-    out = tmp_path / "out"
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
     (out / "full_trace.csv").write_text("hour,lambda\n0,0.5\n")
     meta = json.loads((out / "full_trace.meta.json").read_text())
     (out / "full_trace.meta.json").write_text(
         json.dumps({**meta, "sha256": sha(out / "full_trace.csv")}))
-    with pytest.raises(ValueError, match="stored trace covers other hours"):
-        main(["fullscan", "--config", config_path, "--out", str(out)])
-    assert (out / "full_trace.csv").read_text() == "hour,lambda\n0,0.5\n"
+    capsys.readouterr()
+    assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
+    assert "300 of 300 hours evaluated" in capsys.readouterr().out
+    assert main(["fullscan", "--config", config_path, "--out", str(fresh)]) == 0
+    assert _manifest_files(out) == _manifest_files(fresh)
 
 
 def test_compare_caps_the_sample_at_the_hours_the_full_scan_resolved(tmp_path, config_path,
