@@ -15,7 +15,11 @@ later commands reuse (``dataset.npz``, ``feature_report.json``,
 ``_stored``, reuses them only while that key matches, and an artifact that
 does not load or does not fit the dataset is no cache.  A dataset CSV is
 parsed once per ``--out``: the parse is kept in ``dataset.npz``, keyed by
-the program version and the CSV's bytes.
+the program version and the CSV's bytes, and ``generate`` keeps it for the
+CSV it writes.  ``scan_report.json`` with the ``cluster_model.json`` of
+its key is the stored fast scan: ``fastscan`` and ``compare`` take it in
+place of a new one, so each makes the selection and centroid calls only
+where neither has run.
 
 Exit codes: 0 success, 2 config/validation error or a dataset the
 pipeline cannot scan (Relief's neighbours all share one stability index,
@@ -48,6 +52,7 @@ from .dataset import (
     denormalize,
     generate_synthetic_year,
     load_csv,
+    normalize,
     save_csv,
 )
 from .oracles import ORACLE_KINDS, StabilityTrace, full_scan
@@ -56,6 +61,7 @@ from .relief import select_features  # noqa: F401  uncalled; perfbench spans wra
 from .scanning import (
     FailedCentroidError,
     ScanConfig,
+    ScanReport,
     cluster_stage,
     compare_full_vs_fast,
     fast_scan,
@@ -182,17 +188,27 @@ def build_dataset(config: dict, out: Path) -> OperatingPointSet:
     return generate_synthetic_year(_synthetic_config(config))
 
 
+def _csv_key(path: Path) -> dict:
+    """What a parse of the CSV at ``path`` is computed from: its bytes and the program version."""
+    return {"version": __version__, "csv_sha256": _sha256_file(path)}
+
+
 def _csv_dataset(path: Path, out: Path) -> OperatingPointSet:
     """``load_csv(path)``, from ``out/dataset.npz`` when that holds the parse
-    of these bytes by this program version; else parsed and saved there."""
-    key = {"version": __version__, "csv_sha256": _sha256_file(path)}
+    of these bytes by this program version; else parsed and kept there."""
+    key = _csv_key(path)
     data = _stored(out, "dataset.npz", key)
     if data is None:
         data = load_csv(path)
-        np.savez(out / "dataset.npz", values=data.values, timestamps=data.timestamps)
-        attributes = [{**asdict(a), "kind": a.kind.value} for a in data.attributes]
-        _write_keyed(out, "dataset.npz", key, attributes=attributes)
+        _keep_dataset(out, data, key)
     return data
+
+
+def _keep_dataset(out: Path, data: OperatingPointSet, key: dict):
+    """``dataset.npz`` and its key file: the parse of the CSV that ``key`` names."""
+    np.savez(out / "dataset.npz", values=data.values, timestamps=data.timestamps)
+    attributes = [{**asdict(a), "kind": a.kind.value} for a in data.attributes]
+    _write_keyed(out, "dataset.npz", key, attributes=attributes)
 
 
 def _synthetic_config(config: dict) -> SyntheticYearConfig:
@@ -276,9 +292,11 @@ def _write_keyed(out: Path, name: str, key: dict, **recorded):
     _meta_path(out, name).write_text(json.dumps(meta, indent=2))
 
 
-def _load(path: Path, meta: dict, data):
+def _load(path: Path, meta: dict, key: dict, data):
     """What the keyed artifact at ``path`` holds, with what its meta file
-    records; ``ValueError`` if it does not fit ``data``, the run's dataset."""
+    records; ``ValueError`` if it does not fit ``data``, the run's dataset.
+    ``scan_report.json`` is the stored fast scan: its report with the
+    ``cluster_model.json`` stored under the same ``key``."""
     match path.name:
         case "dataset.npz":
             with np.load(path) as arrays:
@@ -293,18 +311,32 @@ def _load(path: Path, meta: dict, data):
             return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
         case "cluster_model.json":
             model = ClusterModel.load_json(path)
+            labels = model.assignment
+            if (model.centroids.shape != (model.k, data.n_attributes)
+                    or model.weights.shape != (data.n_attributes,)
+                    or labels.shape != (data.n_points,)
+                    or labels.min() < 0 or labels.max() >= model.k):
+                raise ValueError(f"{path} does not cluster the dataset's hours and attributes")
             model.elapsed_s = float(meta["clustering_s"])
             return model
         case "full_trace.csv":
             trace = StabilityTrace.load_csv(path, kind=meta["oracle"]["kind"])
             trace.elapsed_s = float(meta["elapsed_s"])
-        case "scan_report.json":  # the fast trace
-            payload = json.loads(path.read_text())
-            trace = StabilityTrace(hours=payload["hours"], lam=payload["lambda_hat"], kind="fast")
+            trace.require_hours(data.timestamps, "stored")
+            return trace
+        case "scan_report.json":
+            model = _stored(path.parent, "cluster_model.json", key, data)
+            if model is None:
+                raise ValueError(f"no model stored for {path}")
+            timing = {"feature_selection_s": float(meta["feature_selection_s"]),
+                      "clustering_s": model.elapsed_s,
+                      "centroid_eval_s": float(meta["centroid_eval_s"])}
+            report = ScanReport.from_dict(json.loads(path.read_text()), model, timing)
+            if not np.array_equal(report.hours, data.timestamps):
+                raise ValueError(f"{path} covers other hours than the dataset")
+            return report
         case _:
             raise NotImplementedError(f"no reader for {path.name}")
-    trace.require_hours(data.timestamps, "stored")
-    return trace
 
 
 def _stored(out: Path, name: str, key: dict, data=None):
@@ -316,7 +348,7 @@ def _stored(out: Path, name: str, key: dict, data=None):
         meta = json.loads(_meta_path(out, name).read_text())
         fresh = (isinstance(meta, dict) and all(meta.get(k) == v for k, v in key.items())
                  and meta.get("sha256") == _sha256_file(out / name))
-        return _load(out / name, meta, data) if fresh else None
+        return _load(out / name, meta, key, data) if fresh else None
     except (OSError, KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile):
         return None
 
@@ -339,6 +371,8 @@ def cmd_generate(args, out: Path, config: dict) -> int:
     _build(ScanConfig, config.get("scan"), "scan")
     _worstcase_trace(config)
     save_csv(data, target)
+    # save_csv writes each raw value's repr, so this is load_csv's parse of the file
+    _keep_dataset(out, normalize(denormalize(data), data.attribute_names()), _csv_key(target))
     write_manifest(out, "generate", config, ["dataset.csv", "dataset.csv.norm.json"])
     print(f"wrote {target} ({data.n_points} hours x {data.n_attributes} attributes)")
     return 0
@@ -402,30 +436,41 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
     report.save_histogram_csv(out / "ape_histogram.csv")
     _write_feature_report(out, report.feature_report, key)
     _write_model(out, report.model, data, key)
-    _write_keyed(out, "scan_report.json", key)
+    _write_keyed(out, "scan_report.json", key, **{
+        stage: report.timing[stage] for stage in ("feature_selection_s", "centroid_eval_s")})
     timing = {"timing": report.timing, "speedup": report.speedup, "clustering_reused": reused}
     (out / "timing.json").write_text(json.dumps(timing, indent=2))
     return ["scan_report.json", "scan_trace.csv", "ape_histogram.csv", "feature_report.json",
             "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
-def _clustering_flag(model) -> str:
-    return "clustering=" + ("computed" if model is None else "reused")
+def _stored_scan(out: Path, key: dict, data) -> tuple:
+    """The stored fast scan and its model, else None and the stored model (or None)."""
+    stored = _stored(out, "scan_report.json", key, data)
+    if stored is not None:
+        return stored, stored.model
+    return None, _stored(out, "cluster_model.json", key, data)
+
+
+def _clustering_flag(reused: bool) -> str:
+    return "clustering=" + ("reused" if reused else "computed")
 
 
 def cmd_fastscan(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    model = _stored(out, "cluster_model.json", key, data)
-    report = fast_scan(data, oracle, scan, cached_model=model)
+    report, model = _stored_scan(out, key, data)
+    if report is None:
+        report = fast_scan(data, oracle, scan, cached_model=model)
+    reused = report.model is model
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed,
                       known=_stored(out, "full_trace.csv", _cache_key(data, oracle), data))
-    artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
+    artifacts = _write_scan_artifacts(out, report, data, key, reused)
     write_manifest(out, "fastscan", config, artifacts)
     print(
         f"fast scan: k={report.k_final} reduction={report.reduction:.3f} "
         f"mape={report.mape:.4f} max_ape={report.max_ape:.4f} flagged={report.flagged} "
-        f"{_clustering_flag(model)}"
+        f"{_clustering_flag(reused)}"
     )
     return 3 if report.flagged else 0
 
@@ -434,10 +479,12 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
     cached = _stored(out, "full_trace.csv", _cache_key(data, oracle), data)
-    model = _stored(out, "cluster_model.json", key, data)
-    report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model)
+    stored, model = _stored_scan(out, key, data)
+    report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model,
+                                  cached_scan=stored)
+    reused = report.model is model
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
-    artifacts = _write_scan_artifacts(out, report, data, key, model is not None)
+    artifacts = _write_scan_artifacts(out, report, data, key, reused)
     # A partial cached trace had its failed hours evaluated again.
     if cached is None or cached.partial:
         _write_full_trace(out, report.full_trace, data, oracle)
@@ -445,7 +492,7 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     write_manifest(out, "compare", config, artifacts)
     print(
         f"compare: speedup={report.speedup:.2f}x (full {report.timing['full_scan_s']:.2f} s, "
-        f"cached={cached is not None} {_clustering_flag(model)}) mape={report.mape:.4f}"
+        f"cached={cached is not None} {_clustering_flag(reused)}) mape={report.mape:.4f}"
     )
     return 3 if report.flagged else 0
 
@@ -467,6 +514,8 @@ def cmd_worstcase(args, out: Path, config: dict) -> int:
         print(f"error: no {out / name} computed from this config; run {command} first",
               file=sys.stderr)
         return 2
+    if isinstance(trace, ScanReport):  # the fast scan's trace is its imputed indices
+        trace = StabilityTrace(hours=trace.hours, lam=trace.lambda_hat, kind="fast")
     demand = _demand_series(data)
     result = worst_case_analysis(trace, demand)
     (out / "worst_case.json").write_text(json.dumps(result.to_dict(), indent=2))

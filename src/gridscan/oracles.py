@@ -335,21 +335,21 @@ class StabilityTrace:
 
     @classmethod
     def load_csv(cls, path, kind: str = "tabulated") -> "StabilityTrace":
-        """Read a :meth:`save_csv` file; its ``nan`` rows are the failed hours."""
+        """Read a :meth:`save_csv` file; its ``nan`` rows are the failed hours.
+
+        Blank lines are skipped; ``ValueError`` on any other line that is
+        not one integer hour and one number.  NumPy parses the numbers as
+        ``float`` does."""
         path = Path(path)
-        hours, lam = [], []
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "hour,lambda":
-                raise ValueError(f"{path}: expected 'hour,lambda' header")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                h, v = line.split(",")
-                hours.append(int(h))
-                lam.append(float(v))
-        return cls(hours=np.array(hours), lam=np.array(lam), kind=kind)
+            header, *lines = fh.read().split("\n")
+        if header.strip() != "hour,lambda":
+            raise ValueError(f"{path}: expected 'hour,lambda' header")
+        rows = [line.split(",") for line in map(str.strip, lines) if line]
+        if any(len(row) != 2 for row in rows):
+            raise ValueError(f"{path}: expected 'hour,lambda' rows")
+        hours = np.array([int(row[0]) for row in rows], dtype=int)
+        return cls(hours=hours, lam=np.array([row[1] for row in rows], dtype=float), kind=kind)
 
 
 def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:

@@ -108,6 +108,26 @@ class FeatureReport:
             "failed_hours": list(self.failed_hours),
         }
 
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FeatureReport":
+        """The report of a :meth:`to_dict` payload; its ``to_dict`` gives the payload back."""
+        rows = payload["attributes"]
+
+        def column(key, dtype):
+            return np.array([row[key] for row in rows], dtype=dtype)
+
+        return cls(
+            names=tuple(row["name"] for row in rows),
+            weights=column("weight", float),
+            ranks=column("rank", int),
+            adjusted_weights=column("adjusted_weight", float),
+            adjusted_ranks=column("adjusted_rank", int),
+            variances=column("variance", float),
+            training_size=payload["training_size"],
+            converged=payload["converged"],
+            failed_hours=tuple(payload["failed_hours"]),
+        )
+
     def save_json(self, path) -> Path:
         path = Path(path)
         path.write_text(json.dumps(self.to_dict(), indent=2))

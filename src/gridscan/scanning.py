@@ -140,6 +140,24 @@ class ScanReport:
             payload["lambda_full"] = [float(v) for v in self.lambda_full]
         return payload
 
+    @classmethod
+    def from_dict(cls, payload: dict, model: ClusterModel, timing: dict) -> "ScanReport":
+        """The fast scan of a :meth:`to_dict` payload, clustered as ``model``
+        and timed as ``timing``, without the validation and comparison
+        extras.  ``ValueError`` unless
+        ``model`` is the clustering the payload describes: its labels, and
+        its weights the ones the payload's feature report yields."""
+        freport = FeatureReport.from_dict(payload["feature_report"])
+        weights, fallback = _with_fallback(freport.distance_weights(), len(freport.names))
+        hours = np.array(payload["hours"], dtype=int)
+        lambda_hat = np.array(payload["lambda_hat"], dtype=float)
+        if (len(hours) != len(lambda_hat)
+                or not np.array_equal(payload["assignment"], model.assignment)
+                or np.asarray(model.weights, dtype=float).tobytes() != weights.tobytes()):
+            raise ValueError("the scan was not clustered as its model")
+        training = {int(h): v for h, v in dict(payload["training_lambdas"]).items()}
+        return _fast_report(hours, lambda_hat, freport, model, training, fallback, dict(timing))
+
     def save_json(self, path) -> Path:
         path = Path(path)
         path.write_text(json.dumps(self.to_dict(), indent=2))
@@ -213,22 +231,23 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
 
     A ``cached_model`` (a clustering of this dataset under this config)
     replaces the clustering stage; feature selection still runs, and the
-    model's weights must equal the ones it yields, bit for bit, else
-    ``ValueError``.  ``timing["clustering_s"]`` is the model's
-    ``elapsed_s``, the time its clustering took when it was made.
+    model is used only if its weights equal the ones it yields, bit for
+    bit: a model clustered with other weights is no cache, and the
+    clustering stage runs.  With the model used,
+    ``timing["clustering_s"]`` is its ``elapsed_s``, the time its
+    clustering took when it was made.
     """
     t0 = time.perf_counter()
     cache: dict[int, float] = {}
     freport = select_stage(data, oracle, config, cache=cache)
     t_select = time.perf_counter() - t0
 
-    if cached_model is None:
-        model, fallback = cluster_stage(data, freport.distance_weights(), config)
-    else:
-        weights, fallback = _with_fallback(freport.distance_weights(), data.n_attributes)
-        if np.asarray(cached_model.weights, dtype=float).tobytes() != weights.tobytes():
-            raise ValueError("cached_model was clustered with other distance weights")
+    weights, fallback = _with_fallback(freport.distance_weights(), data.n_attributes)
+    if (cached_model is not None
+            and np.asarray(cached_model.weights, dtype=float).tobytes() == weights.tobytes()):
         model = cached_model
+    else:
+        model, _ = cluster_stage(data, freport.distance_weights(), config)
 
     t2 = time.perf_counter()
     centroid_lam = evaluate_many(oracle, model.centroids, catch_failures=True)
@@ -239,26 +258,31 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
             f"oracle returned nan at points {failed} of the {model.k} centroids, or raised "
             "there; no hour may inherit a failed call")
 
-    lambda_hat = centroid_lam[model.assignment]
+    timing = {"feature_selection_s": t_select, "clustering_s": model.elapsed_s,
+              "centroid_eval_s": t_centroid}
+    return _fast_report(data.timestamps.copy(), centroid_lam[model.assignment], freport, model,
+                        dict(cache), fallback, timing)
+
+
+def _fast_report(hours, lambda_hat, freport: FeatureReport, model: ClusterModel,
+                 training_lambdas: dict, fallback: bool, timing: dict) -> ScanReport:
+    """The report of a fast scan: the imputed ``lambda_hat`` at ``hours``, and
+    what the selection and the clustering determine, taken from them."""
     return ScanReport(
-        hours=data.timestamps.copy(),
+        hours=hours,
         lambda_hat=lambda_hat,
         assignment=model.assignment.copy(),
         k_final=model.k,
-        reduction=1.0 - model.k / data.n_points,
+        reduction=1.0 - model.k / len(hours),
         training_size=freport.training_size,
         oracle_evaluations=freport.training_size + len(freport.failed_hours) + model.k,
         feature_report=freport,
         model=model,
-        training_lambdas=dict(cache),
+        training_lambdas=training_lambdas,
         feature_selection_converged=freport.converged,
         clustering_converged=model.converged,
         weights_fallback_uniform=fallback,
-        timing={
-            "feature_selection_s": t_select,
-            "clustering_s": model.elapsed_s,
-            "centroid_eval_s": t_centroid,
-        },
+        timing=timing,
     )
 
 
@@ -416,7 +440,8 @@ def worst_case_analysis(trace: StabilityTrace, demand) -> WorstCaseReport:
 
 def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
                          cached_full: StabilityTrace | None = None,
-                         cached_model: ClusterModel | None = None) -> ScanReport:
+                         cached_model: ClusterModel | None = None,
+                         cached_scan: ScanReport | None = None) -> ScanReport:
     """Run both paths and report the wall-clock speed-up.
 
     speed-up = full_scan_s / (feature_selection_s + clustering_s +
@@ -434,11 +459,15 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
     neither it nor the selection holds are evaluated, and its time is the
     recorded one plus theirs.  A cached trace of other hours than the
     dataset's raises ``ValueError``.  The report keeps the trace as
-    ``full_trace``.  ``cached_model`` is passed to :func:`fast_scan`.
+    ``full_trace``.  A ``cached_scan`` (a :func:`fast_scan` report of this
+    dataset under this config, with its recorded timing) replaces the
+    call to :func:`fast_scan`, so its selection and centroid calls are
+    not made again; else ``cached_model`` is passed to it.
     """
     if cached_full is not None:
         cached_full.require_hours(data.timestamps, "cached")
-    report = fast_scan(data, oracle, config, cached_model=cached_model)
+    report = (fast_scan(data, oracle, config, cached_model=cached_model)
+              if cached_scan is None else cached_scan)
     if cached_full is not None and not cached_full.partial:
         trace = cached_full
     else:

@@ -413,8 +413,50 @@ _REUSED = {
     "feature_report.json": ("select", "cluster", "selected"),
     "cluster_model.json": ("cluster", "fastscan", "clustering=computed"),
     "full_trace.csv": ("fullscan", "compare", "cached=False"),
-    "scan_report.json": ("fastscan", "worstcase", "run fastscan first"),
+    "scan_report.json": ("fastscan", "fastscan", "selected"),
 }
+
+
+def _rekey(out, artifact):
+    """Rewrite ``artifact``'s key file to name the artifact's current bytes."""
+    meta_path = cli._meta_path(out, artifact)
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "sha256": sha(out / artifact)}))
+
+
+def _edited_json(edit):
+    """A content maker: the artifact's JSON as ``edit`` leaves it."""
+    def content(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload, indent=2)
+    return content
+
+
+def _scaled_weights(model):
+    model["weights"] = [2 * w for w in model["weights"]]
+
+
+def _first_ten_hours(payload):
+    for name in ("assignment", "hours", "lambda_hat"):
+        if name in payload:
+            payload[name] = payload[name][:10]
+
+
+def _label_k(payload):
+    payload["assignment"][0] = payload["k" if "k" in payload else "k_final"]
+
+
+def _k_plus_one(model):
+    model["k"] += 1
+
+
+def _one_attribute_less(model):
+    model["centroids"] = [row[:-1] for row in model["centroids"]]
+
+
+def _later_hours(report):
+    report["hours"] = [h + 1 for h in report["hours"]]
 
 
 _CONTENTS = ["{not json", "[]", '{"k": 1}']
@@ -432,6 +474,15 @@ _DAMAGE = (
                     id="one-hour-rekeyed-scan_report.json"),
        pytest.param('{"attributes": [{"adjusted_weight": 1.0}]}', "feature_report.json", True,
                     id="one-weight-rekeyed-feature_report.json")]
+    # a model or a stored scan that loads but does not cluster the dataset's
+    # hours and attributes, or a model of other weights than the selection's
+    + [pytest.param(_edited_json(edit), "cluster_model.json", True,
+                    id=f"{edit.__name__.strip('_')}-rekeyed-cluster_model.json")
+       for edit in (_scaled_weights, _first_ten_hours, _label_k, _k_plus_one,
+                    _one_attribute_less)]
+    + [pytest.param(_edited_json(edit), "scan_report.json", True,
+                    id=f"{edit.__name__.strip('_')}-rekeyed-scan_report.json")
+       for edit in (_first_ten_hours, _label_k, _later_hours)]
     # the artifact's own bytes plus a newline still load: the checksum decides
     + [pytest.param(None, artifact, False, id=f"edited-{artifact}") for artifact in _REUSED]
 )
@@ -449,20 +500,21 @@ def test_an_unreadable_model_or_key_is_no_cache(tmp_path, config_path, capsys, m
     assert main([writer, "--config", config_path, "--out", str(out)]) == 0
     if content is None:
         content = (out / damaged).read_text() + "\n"
+    elif callable(content):
+        content = content((out / damaged).read_text())
     (out / damaged).write_text(content)
     if rekey:
-        meta_path = cli._meta_path(out, artifact)
-        meta = json.loads(meta_path.read_text())
-        meta_path.write_text(json.dumps({**meta, "sha256": sha(out / artifact)}))
-    select = cli.select_stage
-    monkeypatch.setattr(cli, "select_stage", lambda *args: print("selected") or select(*args))
+        _rekey(out, artifact)
+    for module in (cli, scanning):
+        select = module.select_stage
+        monkeypatch.setattr(module, "select_stage",
+                            lambda *a, select=select, **k: print("selected") or select(*a, **k))
     capsys.readouterr()
-    if reader == "worstcase":
-        argv = [reader, "--config", config_path, "--out", str(out)]
+    if artifact == "scan_report.json":  # worstcase reads it too, and names its writer
+        argv = ["worstcase", "--config", config_path, "--out", str(out)]
         assert main(argv + ["--set", 'worstcase.trace="fast"']) == 2
-        assert printed in capsys.readouterr().err
+        _one_error_line(capsys, "run fastscan first")
         assert not (out / "worst_case.json").exists()
-        return
     assert main([reader, "--config", config_path, "--out", str(out)]) == 0
     assert printed in capsys.readouterr().out
     assert main([reader, "--config", config_path, "--out", str(fresh)]) == 0
@@ -606,6 +658,115 @@ def test_a_csv_that_fails_to_parse_writes_no_cache(tmp_path, capsys):
     assert not (out / "dataset.npz").exists() and not (out / "dataset.meta.json").exists()
 
 
+@pytest.mark.parametrize("synthetic", [
+    {"n_hours": 300, "n_attributes": 6, "seed": 5, "n_informative": 2},
+    {"n_hours": 1000, "n_attributes": 13, "seed": 21},
+    {"n_hours": 97, "n_attributes": 3, "seed": 0, "n_informative": 1, "noise_sigma": 0.0},
+    {"n_hours": 48, "n_attributes": 4, "seed": 7, "seasonal_amplitude": 0.0,
+     "diurnal_amplitude": 0.0, "noise_sigma": 0.0},  # every column constant
+])
+def test_generate_keeps_the_parse_of_its_csv(tmp_path, monkeypatch, synthetic):
+    out = tmp_path / "out"
+    path = out / "dataset.csv"
+    shape = [a for k, v in synthetic.items() for a in ("--set", f"dataset.synthetic.{k}={v}")]
+    assert main(["generate", "--out", str(out)] + shape) == 0
+    monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("parsed generate's CSV"))
+    config = {"dataset": {"csv": str(path)}}
+    _assert_same_bits(cli.build_dataset(config, out), gs.load_csv(path))
+    # another year in its place keeps its own parse
+    other_seed = ["--set", f"dataset.synthetic.seed={synthetic['seed'] + 1}"]
+    assert main(["generate", "--out", str(out), "--force"] + shape + other_seed) == 0
+    _assert_same_bits(cli.build_dataset(config, out), gs.load_csv(path))
+    # a CSV edited after generate parses again
+    parsed = _counted_parses(monkeypatch)
+    path.write_bytes(path.read_bytes().replace(b"\r\n1,", b"\r\n100001,", 1))
+    data = cli.build_dataset(config, out)
+    assert len(parsed) == 1 and data.timestamps[1] == 100001
+    _assert_same_bits(data, gs.load_csv(path))
+
+
+def test_select_reads_the_parse_generate_kept(tmp_path, monkeypatch):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    for path in (out, fresh):
+        assert main(["generate", "--out", str(path), "--set", "dataset.synthetic.n_hours=300",
+                     "--set", "dataset.synthetic.n_attributes=6"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMALL_CONFIG, oracle={"kind": "two_bus_margin"},
+                                      dataset={"csv": str(fresh / "dataset.csv")})))
+    (fresh / "dataset.npz").unlink()
+    assert main(["select", "--config", str(config), "--out", str(fresh)]) == 0
+    monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("parsed generate's CSV"))
+    assert main(["select", "--config", str(config), "--out", str(out),
+                 "--set", f"dataset.csv={out / 'dataset.csv'}"]) == 0
+    for name in ("feature_report.json", "feature_report.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def _counted_oracles(monkeypatch):
+    """The oracles the CLI builds, in order; each counts its calls."""
+    build, built = cli.build_oracle, []
+    monkeypatch.setattr(cli, "build_oracle",
+                        lambda config, data: built.append(build(config, data)) or built[-1])
+    return built
+
+
+def test_compare_and_fastscan_reuse_each_others_fast_scan(tmp_path, config_path, monkeypatch):
+    fresh = {}
+    for command in ("fastscan", "compare"):
+        assert main([command, "--config", config_path, "--out", str(tmp_path / command)]) == 0
+        fresh[command] = _manifest_files(tmp_path / command)
+    built = _counted_oracles(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    meta = json.loads((out / "scan_report.meta.json").read_text())
+    held = len(json.loads((out / "scan_report.json").read_text())["training_lambdas"])
+    assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
+    # no selection or centroid call: the sweep of the hours the selection does not hold
+    assert built[-1].eval_count == 300 - held
+    assert _manifest_files(out) == fresh["compare"]
+    timing = json.loads((out / "timing.json").read_text())["timing"]
+    for stage in ("feature_selection_s", "centroid_eval_s"):
+        assert timing[stage] == meta[stage], stage
+    # compare kept the full trace, so validation reads it too
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    assert built[-1].eval_count == 0
+    assert _manifest_files(out) == fresh["fastscan"]
+
+    # with a full trace stored, compare pays nothing at all
+    full, unscanned = tmp_path / "full", tmp_path / "unscanned"
+    for command in ("fullscan", "fastscan", "compare"):
+        assert main([command, "--config", config_path, "--out", str(full)]) == 0
+    assert built[-1].eval_count == 0
+    for command in ("fullscan", "compare"):
+        assert main([command, "--config", config_path, "--out", str(unscanned)]) == 0
+    assert _manifest_files(full) == _manifest_files(unscanned)
+
+
+@pytest.mark.parametrize("edit, rekey", [
+    (lambda text: text + "\n", False),
+    (_edited_json(_scaled_weights), True),
+    (_edited_json(_first_ten_hours), True),
+], ids=["edited", "scaled_weights-rekeyed", "first_ten_hours-rekeyed"])
+def test_a_stored_scan_whose_model_is_edited_is_no_cache(tmp_path, config_path, monkeypatch,
+                                                         capsys, edit, rekey):
+    # the stored fast scan is scan_report.json with its model: without
+    # that model, compare selects, clusters and evaluates the centroids again
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    built = _counted_oracles(monkeypatch)
+    assert main(["compare", "--config", config_path, "--out", str(fresh)]) == 0
+    paid = built[-1].eval_count
+    assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
+    model = out / "cluster_model.json"
+    model.write_text(edit(model.read_text()))
+    if rekey:
+        _rekey(out, "cluster_model.json")
+    capsys.readouterr()
+    assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
+    assert "clustering=computed" in capsys.readouterr().out
+    assert built[-1].eval_count == paid
+    assert _manifest_files(out) == _manifest_files(fresh)
+
+
 def test_fullscan_then_compare_reuses_cached_trace(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0
@@ -715,9 +876,8 @@ def test_second_compare_evaluates_only_the_failed_hours(tmp_path, config_path, m
     first = json.loads((out / "full_trace.meta.json").read_text())
     trace = (out / "full_trace.csv").read_bytes()
     assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
-    report = json.loads((out / "scan_report.json").read_text())
-    # selection and centroid calls are oracle_evaluations; the rest is the full scan
-    assert built[-1].eval_count - report["oracle_evaluations"] == 2
+    # the stored fast scan is reused: the failed hours are the only calls
+    assert built[-1].eval_count == 2
     meta = json.loads((out / "full_trace.meta.json").read_text())
     assert meta["partial"] is True
     assert (out / "full_trace.csv").read_bytes() == trace

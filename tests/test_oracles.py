@@ -217,6 +217,35 @@ def test_partial_trace_csv_roundtrip(tmp_path, rng):
     assert back.partial
 
 
+@pytest.mark.parametrize("row", ["2", "2,0.5,0.5", "x,0.5", "2,oops", "2.5,0.5", "2,"])
+def test_a_malformed_trace_csv_line_raises(tmp_path, row):
+    # a stored trace that does not load is no cache, so the reader must raise
+    path = tmp_path / "t.csv"
+    path.write_text(f"hour,lambda\n0,1.5\n{row}\n3,nan\n")
+    with pytest.raises(ValueError):
+        gs.StabilityTrace.load_csv(path)
+
+
+def test_trace_csv_skips_blank_lines_and_keeps_nan_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("hour,lambda\r\n\n0,1.5\r\n  \n1,nan\n\n2,-0.0\n7, 2.5 \n\n")
+    back = gs.StabilityTrace.load_csv(path)
+    assert back.hours.tolist() == [0, 1, 2, 7]
+    assert back.lam.tobytes() == np.array([1.5, np.nan, -0.0, 2.5]).tobytes()
+    assert back.failed_hours == (1,)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("hour,lambda\n")
+    assert len(gs.StabilityTrace.load_csv(empty).hours) == 0
+
+
+def test_trace_csv_values_parse_as_float_does(tmp_path, rng):
+    values = np.concatenate([rng.normal(size=500), rng.uniform(-1e300, 1e300, size=100),
+                             [5e-324, -0.0, 0.1, 1e-320]])
+    path = gs.StabilityTrace(hours=np.arange(len(values)), lam=values, kind="x").save_csv(
+        tmp_path / "t.csv")
+    assert gs.StabilityTrace.load_csv(path).lam.tobytes() == values.tobytes()
+
+
 def test_full_scan_resume_evaluates_only_failed_hours(rng):
     data = gs.normalize(rng.uniform(0, 1, size=(8, 2)), ["a", "b"])
     kept = [0, 2, 3, 4, 6, 7]

@@ -173,12 +173,63 @@ def test_fast_scan_reuses_a_cached_model(tmp_path):
 def test_fast_scan_rejects_a_model_clustered_with_other_weights():
     data = small_year()
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
-    model = gs.fast_scan(data, oracle, small_config()).model
-    model.weights = model.weights.copy()
+    fresh = gs.fast_scan(data, oracle, small_config())
+    model = replace(fresh.model, weights=fresh.model.weights.copy(), elapsed_s=12.5)
     i = int(np.argmax(model.weights))
     model.weights[i] = np.nextafter(model.weights[i], np.inf)  # one ulp off
-    with pytest.raises(ValueError, match="other distance weights"):
-        gs.fast_scan(data, oracle, small_config(), cached_model=model)
+    # a model of other weights is no cache: the scan clusters as a fresh one
+    rejected = gs.fast_scan(data, oracle, small_config(), cached_model=model)
+    assert rejected.model is not model
+    assert rejected.model.to_dict() == fresh.model.to_dict()
+    assert rejected.timing["clustering_s"] != 12.5
+    assert np.array_equal(rejected.lambda_hat, fresh.lambda_hat)
+
+
+def _stored_scan(report, tmp_path):
+    """``report`` read back as the CLI keeps it: its payload and its model's JSON."""
+    model = gs.ClusterModel.load_json(report.model.save_json(tmp_path / "m.json"))
+    model.elapsed_s = report.model.elapsed_s
+    return gs.ScanReport.from_dict(report.to_dict(), model, report.timing)
+
+
+def test_a_scan_report_rebuilds_from_its_payload_and_model(tmp_path):
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    fresh = gs.fast_scan(data, oracle, small_config())
+    back = _stored_scan(gs.validate(fresh, data, oracle, 50), tmp_path)
+    assert back.to_dict() == fresh.to_dict()
+    assert back.timing == fresh.timing
+    assert back.feature_report.to_dict() == fresh.feature_report.to_dict()
+    for name in ("hours", "lambda_hat", "assignment"):
+        assert getattr(back, name).tobytes() == getattr(fresh, name).tobytes(), name
+    # the validation is not part of the stored scan; validating again gives its bits
+    again = gs.validate(back, data, oracle, 50).to_dict()
+    assert again == gs.validate(fresh, data, oracle, 50).to_dict()
+    # a model that is not the payload's clustering is refused
+    payload = fresh.to_dict()
+    other = replace(fresh.model, assignment=fresh.model.assignment[::-1].copy())
+    with pytest.raises(ValueError, match="not clustered as its model"):
+        gs.ScanReport.from_dict(payload, other, fresh.timing)
+    heavier = replace(fresh.model, weights=2 * fresh.model.weights)
+    with pytest.raises(ValueError, match="not clustered as its model"):
+        gs.ScanReport.from_dict(payload, heavier, fresh.timing)
+
+
+def test_compare_with_a_cached_scan_makes_no_selection_or_centroid_call(tmp_path):
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    fresh = gs.compare_full_vs_fast(data, oracle, small_config())
+    stored = _stored_scan(gs.fast_scan(data, oracle, small_config()), tmp_path)
+    count = oracle.eval_count
+    reused = gs.compare_full_vs_fast(data, oracle, small_config(), cached_scan=stored)
+    # only the hours the selection does not hold are swept
+    assert oracle.eval_count - count == data.n_points - len(stored.training_lambdas)
+    assert reused.to_dict() == fresh.to_dict()
+    assert reused.timing["clustering_s"] == stored.timing["clustering_s"]
+    count = oracle.eval_count
+    gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=reused.full_trace,
+                            cached_scan=stored)
+    assert oracle.eval_count == count
 
 
 def test_fast_scan_deterministic_given_seed():
