@@ -17,9 +17,9 @@ does not load or does not fit the dataset is no cache.  A dataset CSV is
 parsed once per ``--out``: the parse is kept in ``dataset.npz``, keyed by
 the program version and the CSV's bytes, and ``generate`` keeps it for the
 CSV it writes.  ``scan_report.json`` with the ``cluster_model.json`` of
-its key is the stored fast scan: ``fastscan`` and ``compare`` take it in
-place of a new one, so each makes the selection and centroid calls only
-where neither has run.
+its key is the stored fast scan, its selection values and validation
+samples included: ``fastscan`` and ``compare`` take it in place of a new
+one, and neither calls the oracle at an hour it holds.
 
 Exit codes: 0 success, 2 config/validation error or a dataset the
 pipeline cannot scan (Relief's neighbours all share one stability index,
@@ -444,12 +444,15 @@ def _write_scan_artifacts(out: Path, report, data, key: dict, reused: bool) -> l
             "feature_report.csv", "cluster_model.json", "assignment.csv"]
 
 
-def _stored_scan(out: Path, key: dict, data) -> tuple:
-    """The stored fast scan and its model, else None and the stored model (or None)."""
-    stored = _stored(out, "scan_report.json", key, data)
-    if stored is not None:
-        return stored, stored.model
-    return None, _stored(out, "cluster_model.json", key, data)
+def _fast_scan(out: Path, key: dict, data, oracle, scan: ScanConfig) -> tuple[ScanReport, bool]:
+    """The run's fast scan, and whether its clustering was reused: the
+    stored scan, else a new one on the stored model (when that fits)."""
+    report = _stored(out, "scan_report.json", key, data)
+    if report is not None:
+        return report, True
+    model = _stored(out, "cluster_model.json", key, data)
+    report = fast_scan(data, oracle, scan, cached_model=model)
+    return report, report.model is model
 
 
 def _clustering_flag(reused: bool) -> str:
@@ -459,10 +462,7 @@ def _clustering_flag(reused: bool) -> str:
 def cmd_fastscan(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
-    report, model = _stored_scan(out, key, data)
-    if report is None:
-        report = fast_scan(data, oracle, scan, cached_model=model)
-    reused = report.model is model
+    report, reused = _fast_scan(out, key, data, oracle, scan)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed,
                       known=_stored(out, "full_trace.csv", _cache_key(data, oracle), data))
     artifacts = _write_scan_artifacts(out, report, data, key, reused)
@@ -479,10 +479,8 @@ def cmd_compare(args, out: Path, config: dict) -> int:
     data, oracle, scan = _pipeline_inputs(config, out)
     key = _cache_key(data, oracle, scan)
     cached = _stored(out, "full_trace.csv", _cache_key(data, oracle), data)
-    stored, model = _stored_scan(out, key, data)
-    report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, cached_model=model,
-                                  cached_scan=stored)
-    reused = report.model is model
+    report, reused = _fast_scan(out, key, data, oracle, scan)
+    report = compare_full_vs_fast(data, oracle, scan, cached_full=cached, fast=report)
     report = validate(report, data, oracle, min(scan.sample_size, data.n_points), seed=scan.seed)
     artifacts = _write_scan_artifacts(out, report, data, key, reused)
     # A partial cached trace had its failed hours evaluated again.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,9 @@ class FeatureReport:
 
     Rank 1 is the largest weight; both rank vectors are permutations of
     1..n_attributes.  ``variances`` are attribute variances over the
-    training subset the weights were estimated on.
+    training subset the weights were estimated on.  ``training_lambdas``
+    maps each training hour to its oracle value, in draw order; it is not
+    serialized.
     """
 
     names: tuple[str, ...]
@@ -80,6 +82,7 @@ class FeatureReport:
     training_size: int = 0
     converged: bool = False
     failed_hours: tuple[int, ...] = ()
+    training_lambdas: dict[int, float] = field(default_factory=dict, repr=False)
 
     def top(self, n: int) -> list[str]:
         """Names of the n best attributes by adjusted rank."""
@@ -389,7 +392,6 @@ def select_features(
     params: ReliefParams = ReliefParams(),
     C: float | None = None,
     seed: int = 0,
-    cache: dict | None = None,
 ) -> FeatureReport:
     """Adaptive-training-set feature selection.
 
@@ -423,9 +425,9 @@ def select_features(
     The sweep keeps input order, so the training set and the weights are
     the same at any thread count.  Points where the oracle call failed
     (NaN from the sweep) are skipped and recorded in ``failed_hours``, in
-    batch order.  ``cache``, when given, is filled with hour -> index for
-    every successful oracle evaluation (callers reuse these instead of
-    re-evaluating).
+    batch order.  Every successful call is a training point, and the
+    report's ``training_lambdas`` hold their values, so callers reuse them
+    instead of calling the oracle again.
     """
     X_all = data.values
     hours = data.timestamps
@@ -437,8 +439,6 @@ def select_features(
     train_rows: list[int] = []
     train_lam: list[float] = []
     failed: list[int] = []
-    if cache is None:
-        cache = {}
 
     # Relief's k-nearest lists and their distances among the training rows
     # while every pass is a full sweep (at most m rows); past m, each
@@ -458,7 +458,6 @@ def select_features(
         failed += hours[take[~ok]].tolist()
         train_rows += take[ok].tolist()
         train_lam += values[ok].tolist()
-        cache.update(zip(hours[take[ok]].tolist(), values[ok].tolist()))
         size = len(train_rows)
         X_train = X_all[train_rows]
         if size <= params.k:
@@ -482,7 +481,8 @@ def select_features(
             drift = float(np.max(np.abs(scaled - prev_scaled)))
             stable = stable + 1 if (rho >= params.rho_threshold and drift <= params.epsilon_f) else 0
             if stable >= params.window:
-                return replace(report, converged=True)
+                report = replace(report, converged=True)
+                break
         prev_ranks = report.adjusted_ranks
         prev_scaled = scaled
 
@@ -490,4 +490,4 @@ def select_features(
         raise ValueError(
             f"dataset too small: {len(train_rows)} usable points, need more than k={params.k}"
         )
-    return report
+    return replace(report, training_lambdas=dict(zip(hours[train_rows].tolist(), train_lam)))

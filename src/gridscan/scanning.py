@@ -11,6 +11,7 @@ runs the exhaustive scan and reports the wall-clock speed-up.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -84,7 +85,6 @@ class ScanReport:
     oracle_evaluations: int
     feature_report: FeatureReport
     model: ClusterModel
-    training_lambdas: dict[int, float]
     feature_selection_converged: bool
     clustering_converged: bool
     weights_fallback_uniform: bool = False
@@ -96,6 +96,11 @@ class ScanReport:
     validation_excluded: int = 0
     full_trace: StabilityTrace | None = None
     speedup: float | None = None
+
+    @property
+    def training_lambdas(self) -> dict[int, float]:
+        """Feature selection's values, hour -> index, as its feature report holds them."""
+        return self.feature_report.training_lambdas
 
     @property
     def lambda_full(self) -> np.ndarray | None:
@@ -142,12 +147,14 @@ class ScanReport:
 
     @classmethod
     def from_dict(cls, payload: dict, model: ClusterModel, timing: dict) -> "ScanReport":
-        """The fast scan of a :meth:`to_dict` payload, clustered as ``model``
-        and timed as ``timing``, without the validation and comparison
-        extras.  ``ValueError`` unless
+        """The scan of a :meth:`to_dict` payload, clustered as ``model`` and
+        timed as ``timing``: the fast scan, the selection's values and the
+        validation, without the comparison extras.  ``ValueError`` unless
         ``model`` is the clustering the payload describes: its labels, and
         its weights the ones the payload's feature report yields."""
-        freport = FeatureReport.from_dict(payload["feature_report"])
+        training = {int(h): v for h, v in dict(payload["training_lambdas"]).items()}
+        freport = replace(FeatureReport.from_dict(payload["feature_report"]),
+                          training_lambdas=training)
         weights, fallback = _with_fallback(freport.distance_weights(), len(freport.names))
         hours = np.array(payload["hours"], dtype=int)
         lambda_hat = np.array(payload["lambda_hat"], dtype=float)
@@ -155,8 +162,12 @@ class ScanReport:
                 or not np.array_equal(payload["assignment"], model.assignment)
                 or np.asarray(model.weights, dtype=float).tobytes() != weights.tobytes()):
             raise ValueError("the scan was not clustered as its model")
-        training = {int(h): v for h, v in dict(payload["training_lambdas"]).items()}
-        return _fast_report(hours, lambda_hat, freport, model, training, fallback, dict(timing))
+        samples = [ValidationSample(s["hour"], s["lambda"], s["lambda_hat"], s["ape"],
+                                    s["absolute_fallback"]) for s in payload["validation"]]
+        report = _fast_report(hours, lambda_hat, freport, model, fallback, dict(timing))
+        return replace(report, validation=tuple(samples), mape=payload["mape"],
+                       max_ape=payload["max_ape"], histogram=tuple(map(tuple, payload["histogram"])),
+                       validation_excluded=payload.get("validation_excluded", 0))
 
     def save_json(self, path) -> Path:
         path = Path(path)
@@ -166,17 +177,11 @@ class ScanReport:
     def save_trace_csv(self, path) -> Path:
         """``hour,lambda,lambda_hat`` rows; lambda is blank where unknown."""
         path = Path(path)
-        known = {}
-        if self.lambda_full is not None:
-            known = {int(h): float(v) for h, v in zip(self.hours, self.lambda_full)}
-        else:
-            known = dict(self.training_lambdas)
-            known.update({s.hour: s.lam for s in self.validation})
+        held = _held_values(self, slice(None), self.full_trace).tolist()
         lines = ["hour,lambda,lambda_hat"]
-        for h, v in zip(self.hours, self.lambda_hat):
-            h = int(h)
-            lam = repr(known[h]) if h in known else ""
-            lines.append(f"{h},{lam},{repr(float(v))}")
+        for h, lam, lam_hat in zip(self.hours.tolist(), held, self.lambda_hat.tolist()):
+            blank = self.full_trace is None and math.isnan(lam)  # no value held
+            lines.append(f"{h},{'' if blank else repr(lam)},{repr(lam_hat)}")
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -188,13 +193,11 @@ class ScanReport:
         return path
 
 
-def select_stage(data, oracle, config: ScanConfig = ScanConfig(),
-                 cache: dict | None = None) -> FeatureReport:
+def select_stage(data, oracle, config: ScanConfig = ScanConfig()) -> FeatureReport:
     """First stage of :func:`fast_scan`: feature selection on the derived
     selection seed."""
     selection_seed, _ = _derived_seeds(config.seed)
-    return select_features(data, oracle, config.relief, C=config.C, seed=selection_seed,
-                           cache=cache)
+    return select_features(data, oracle, config.relief, C=config.C, seed=selection_seed)
 
 
 def _with_fallback(weights, n_attributes: int) -> tuple[np.ndarray, bool]:
@@ -223,11 +226,12 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     """Feature selection, clustering, and centroid-only oracle evaluation.
 
     Oracle evaluations are training_size + len(failed_hours) + k_final:
-    one call per selection point, failed or not (successful results are
-    cached per hour), and one per centroid; nothing else touches the
-    oracle.  A failed centroid call raises :class:`FailedCentroidError`.  A
-    non-converged feature selection proceeds with its latest weights and
-    is flagged in the report.
+    one call per selection point, failed or not, and one per centroid;
+    nothing else touches the oracle.  The selection's values travel on
+    the report's feature report (``training_lambdas``).  A failed centroid
+    call raises :class:`FailedCentroidError`.  A non-converged feature
+    selection proceeds with its latest weights and is flagged in the
+    report.
 
     A ``cached_model`` (a clustering of this dataset under this config)
     replaces the clustering stage; feature selection still runs, and the
@@ -238,8 +242,7 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     clustering took when it was made.
     """
     t0 = time.perf_counter()
-    cache: dict[int, float] = {}
-    freport = select_stage(data, oracle, config, cache=cache)
+    freport = select_stage(data, oracle, config)
     t_select = time.perf_counter() - t0
 
     weights, fallback = _with_fallback(freport.distance_weights(), data.n_attributes)
@@ -261,11 +264,11 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     timing = {"feature_selection_s": t_select, "clustering_s": model.elapsed_s,
               "centroid_eval_s": t_centroid}
     return _fast_report(data.timestamps.copy(), centroid_lam[model.assignment], freport, model,
-                        dict(cache), fallback, timing)
+                        fallback, timing)
 
 
 def _fast_report(hours, lambda_hat, freport: FeatureReport, model: ClusterModel,
-                 training_lambdas: dict, fallback: bool, timing: dict) -> ScanReport:
+                 fallback: bool, timing: dict) -> ScanReport:
     """The report of a fast scan: the imputed ``lambda_hat`` at ``hours``, and
     what the selection and the clustering determine, taken from them."""
     return ScanReport(
@@ -278,7 +281,6 @@ def _fast_report(hours, lambda_hat, freport: FeatureReport, model: ClusterModel,
         oracle_evaluations=freport.training_size + len(freport.failed_hours) + model.k,
         feature_report=freport,
         model=model,
-        training_lambdas=training_lambdas,
         feature_selection_converged=freport.converged,
         clustering_converged=model.converged,
         weights_fallback_uniform=fallback,
@@ -288,10 +290,10 @@ def _fast_report(hours, lambda_hat, freport: FeatureReport, model: ClusterModel,
 
 def _held_values(report: ScanReport, rows, trace: StabilityTrace | None = None) -> np.ndarray:
     """The oracle values the run already holds at ``rows`` of its hours:
-    the trace's where finite, else feature selection's; NaN where neither
-    has one."""
-    held = np.array([report.training_lambdas.get(h, np.nan)
-                     for h in report.hours[rows].tolist()], dtype=float)
+    the trace's where finite, else feature selection's, else validation's;
+    NaN where none has one."""
+    values = {s.hour: s.lam for s in report.validation} | report.training_lambdas
+    held = np.array([values.get(h, np.nan) for h in report.hours[rows].tolist()], dtype=float)
     if trace is None:
         return held
     lam = trace.lam[rows]
@@ -309,10 +311,11 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
 
     A sampled hour takes its true value from the trace (the report's
     ``full_trace``, else ``known``, a full-scan trace of the same hours),
-    then from the selection's values.  Only without a trace is the oracle
-    called, at the sampled hours the selection does not hold; a trace
-    covers every hour, its NaN marking a failed call.  A sampled hour
-    still without a value is left out after the draw and counted in
+    then from the selection's values, then from the report's own
+    validation samples (a stored scan keeps them).  Only without a trace
+    is the oracle called, at the sampled hours none of them holds; a
+    trace covers every hour, its NaN marking a failed call.  A sampled
+    hour still without a value is left out after the draw and counted in
     ``validation_excluded``; if every one is, ``ValueError``.
 
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
@@ -440,34 +443,32 @@ def worst_case_analysis(trace: StabilityTrace, demand) -> WorstCaseReport:
 
 def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
                          cached_full: StabilityTrace | None = None,
-                         cached_model: ClusterModel | None = None,
-                         cached_scan: ScanReport | None = None) -> ScanReport:
+                         fast: ScanReport | None = None) -> ScanReport:
     """Run both paths and report the wall-clock speed-up.
 
-    speed-up = full_scan_s / (feature_selection_s + clustering_s +
-    centroid_eval_s).  The exhaustive scan sweeps only the hours whose
-    value the run does not hold yet: feature selection has paid for its
-    training hours, and the oracle is pure, so their values are the ones
-    a sweep would return, bit for bit.  ``full_scan_s`` still stands for
-    a sweep of every hour: each reused hour is charged the sweep's mean
-    time per hour (the selection draws its hours uniformly), or, when
-    the selection holds every hour, the selection's own time.  The trace
-    records that time as its ``elapsed_s``.
+    ``fast`` is the fast scan compared: a :func:`fast_scan` report of this
+    dataset under this config, with its recorded timing, else
+    ``fast_scan(data, oracle, config)`` runs.  speed-up = full_scan_s /
+    (feature_selection_s + clustering_s + centroid_eval_s).  The
+    exhaustive scan sweeps only the hours whose value the run does not
+    hold yet: feature selection has paid for its training hours, a
+    validated ``fast`` for its sampled ones, and the oracle is pure, so
+    their values are the ones a sweep would return, bit for bit.
+    ``full_scan_s`` still stands for a sweep of every hour: each reused
+    hour is charged the sweep's mean time per hour (both draws are
+    uniform), or, when the run holds every hour, the selection's own
+    time.  The trace records that time as its ``elapsed_s``.
 
     A cached full-scan trace (with its recorded elapsed time) can
     substitute for the sweep; of a partial one only the hours that
-    neither it nor the selection holds are evaluated, and its time is the
+    neither it nor the report holds are evaluated, and its time is the
     recorded one plus theirs.  A cached trace of other hours than the
     dataset's raises ``ValueError``.  The report keeps the trace as
-    ``full_trace``.  A ``cached_scan`` (a :func:`fast_scan` report of this
-    dataset under this config, with its recorded timing) replaces the
-    call to :func:`fast_scan`, so its selection and centroid calls are
-    not made again; else ``cached_model`` is passed to it.
+    ``full_trace``.
     """
     if cached_full is not None:
         cached_full.require_hours(data.timestamps, "cached")
-    report = (fast_scan(data, oracle, config, cached_model=cached_model)
-              if cached_scan is None else cached_scan)
+    report = fast_scan(data, oracle, config) if fast is None else fast
     if cached_full is not None and not cached_full.partial:
         trace = cached_full
     else:

@@ -719,10 +719,12 @@ def test_compare_and_fastscan_reuse_each_others_fast_scan(tmp_path, config_path,
     out = tmp_path / "out"
     assert main(["fastscan", "--config", config_path, "--out", str(out)]) == 0
     meta = json.loads((out / "scan_report.meta.json").read_text())
-    held = len(json.loads((out / "scan_report.json").read_text())["training_lambdas"])
+    payload = json.loads((out / "scan_report.json").read_text())
+    held, validated = len(payload["training_lambdas"]), len(payload["validation"])
     assert main(["compare", "--config", config_path, "--out", str(out)]) == 0
-    # no selection or centroid call: the sweep of the hours the selection does not hold
-    assert built[-1].eval_count == 300 - held
+    # no selection, centroid or validation call: the sweep of the hours
+    # neither the selection nor the validation holds
+    assert built[-1].eval_count == 300 - held - validated
     assert _manifest_files(out) == fresh["compare"]
     timing = json.loads((out / "timing.json").read_text())["timing"]
     for stage in ("feature_selection_s", "centroid_eval_s"):
@@ -740,6 +742,31 @@ def test_compare_and_fastscan_reuse_each_others_fast_scan(tmp_path, config_path,
     for command in ("fullscan", "compare"):
         assert main([command, "--config", config_path, "--out", str(unscanned)]) == 0
     assert _manifest_files(full) == _manifest_files(unscanned)
+
+
+def test_a_run_directory_pays_for_each_hour_once(tmp_path, config_path, monkeypatch):
+    # generate -> fastscan -> fastscan -> compare -> fastscan: the selection,
+    # the validation and compare's sweep each pay for hours the others do
+    # not hold, and each centroid is paid for once
+    out = tmp_path / "out"
+    assert main(["generate", "--config", config_path, "--out", str(out)]) == 0
+    config = tmp_path / "csv_config.json"
+    config.write_text(json.dumps(dict(SMALL_CONFIG, dataset={"csv": str(out / "dataset.csv")},
+                                      oracle={"kind": "two_bus_margin"})))
+    fresh = {}
+    for command in ("fastscan", "compare"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+        fresh[command] = _manifest_files(tmp_path / command)
+    built = _counted_oracles(monkeypatch)
+    paid = []
+    for command in ("fastscan", "fastscan", "compare", "fastscan"):
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        paid.append(built[-1].eval_count)
+        assert _manifest_files(out) == fresh[command], command
+    payload = json.loads((out / "scan_report.json").read_text())
+    held, validated = len(payload["training_lambdas"]), len(payload["validation"])
+    assert paid == [held + payload["k_final"] + validated, 0, 300 - held - validated, 0]
+    assert sum(paid) == 300 + payload["k_final"]
 
 
 @pytest.mark.parametrize("edit, rekey", [

@@ -374,10 +374,8 @@ def test_select_treats_a_nan_return_like_a_raise():
         def _evaluate(self, point):
             return math.nan if point.tobytes() in bad_points else base._evaluate(point)
 
-    (raised, raised_cache), (nan, nan_cache) = [
-        (gs.select_features(data, oracle, seed=0, cache=cache), cache)
-        for oracle, cache in ((Raising(), {}), (NanReturning(), {}))
-    ]
+    raised, nan = [gs.select_features(data, oracle, seed=0)
+                   for oracle in (Raising(), NanReturning())]
     assert raised.failed_hours
     assert nan.failed_hours == raised.failed_hours
     assert nan.training_size == raised.training_size < data.n_points
@@ -385,12 +383,12 @@ def test_select_treats_a_nan_return_like_a_raise():
     assert np.isfinite(nan.weights).all()
     for name in ("weights", "ranks", "adjusted_weights", "adjusted_ranks", "variances"):
         assert getattr(nan, name).tobytes() == getattr(raised, name).tobytes()
-    assert list(nan_cache.items()) == list(raised_cache.items())
+    assert list(nan.training_lambdas.items()) == list(raised.training_lambdas.items())
 
 
 def test_select_threaded_matches_sequential(year, monkeypatch):
     # each batch is one evaluate_many sweep: two workers must give the
-    # sequential run's report and cache, failures included
+    # sequential run's report and training values, failures included
     base = gs.DampingSurrogate.from_seed(year.metadata["informative_indices"], seed=101)
     bad_hours = set(range(0, year.n_points, 13))
     bad_points = {year.values[i].tobytes() for i in bad_hours}
@@ -411,11 +409,11 @@ def test_select_threaded_matches_sequential(year, monkeypatch):
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("GRIDSCAN_THREADS", threads)
-        oracle, cache = Flaky(), {}
-        rep = gs.select_features(year, oracle, seed=0, cache=cache)
+        oracle = Flaky()
+        rep = gs.select_features(year, oracle, seed=0)
         assert oracle.eval_count == rep.training_size + len(rep.failed_hours)
-        runs.append((rep, list(cache.items()), oracle.threads))
-    (seq, seq_cache, seq_threads), (par, par_cache, par_threads) = runs
+        runs.append((rep, oracle.threads))
+    (seq, seq_threads), (par, par_threads) = runs
     main = threading.main_thread().ident
     assert seq_threads == {main}
     assert main not in par_threads
@@ -425,7 +423,7 @@ def test_select_threaded_matches_sequential(year, monkeypatch):
     assert par.converged == seq.converged
     for name in ("weights", "ranks", "adjusted_weights", "adjusted_ranks", "variances"):
         assert getattr(par, name).tobytes() == getattr(seq, name).tobytes()
-    assert par_cache == seq_cache
+    assert list(par.training_lambdas.items()) == list(seq.training_lambdas.items())
 
 
 def test_select_gives_up_on_tiny_dataset():
@@ -481,16 +479,15 @@ def _select_twice(monkeypatch, data, oracle, params=ReliefParams()):
     runs = []
     for stand_in in (recording, recomputing):
         monkeypatch.setattr(relief, "rrelieff_pass", stand_in)
-        cache = {}
-        runs.append((gs.select_features(data, oracle, params, seed=0, cache=cache), cache))
-    (cached, cached_cache), (reference, reference_cache) = runs
+        runs.append(gs.select_features(data, oracle, params, seed=0))
+    cached, reference = runs
     for field in dataclasses.fields(FeatureReport):
         got, want = getattr(cached, field.name), getattr(reference, field.name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
         else:
             assert got == want, field.name
-    assert list(cached_cache.items()) == list(reference_cache.items())
+    assert list(cached.training_lambdas.items()) == list(reference.training_lambdas.items())
     return cached, given
 
 

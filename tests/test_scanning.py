@@ -166,8 +166,21 @@ def test_fast_scan_reuses_a_cached_model(tmp_path):
     assert oracle.eval_count - count == reused.oracle_evaluations == fresh.oracle_evaluations
     assert reused.training_lambdas == fresh.training_lambdas
     assert reused.timing["clustering_s"] == 12.5
-    compared = gs.compare_full_vs_fast(data, oracle, small_config(), cached_model=model)
+    compared = gs.compare_full_vs_fast(data, oracle, small_config(), fast=reused)
     assert compared.timing["clustering_s"] == 12.5
+
+
+def test_the_selection_values_travel_on_the_feature_report():
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    report = gs.fast_scan(data, oracle, small_config())
+    assert report.training_lambdas is report.feature_report.training_lambdas
+    assert len(report.training_lambdas) == report.training_size
+    # each is the oracle's value at its hour
+    for hour, lam in report.training_lambdas.items():
+        assert lam == oracle(data.values[np.flatnonzero(data.timestamps == hour)[0]])
+    # not serialized: the feature report keeps its bytes
+    assert "training_lambdas" not in report.feature_report.to_dict()
 
 
 def test_fast_scan_rejects_a_model_clustered_with_other_weights():
@@ -193,18 +206,25 @@ def _stored_scan(report, tmp_path):
 
 
 def test_a_scan_report_rebuilds_from_its_payload_and_model(tmp_path):
-    data = small_year()
+    data = small_year(n=400)  # the selection leaves hours for validation to pay for
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
     fresh = gs.fast_scan(data, oracle, small_config())
-    back = _stored_scan(gs.validate(fresh, data, oracle, 50), tmp_path)
-    assert back.to_dict() == fresh.to_dict()
+    assert _stored_scan(fresh, tmp_path).to_dict() == fresh.to_dict()
+    validated = gs.validate(fresh, data, oracle, 50)
+    back = _stored_scan(validated, tmp_path)
+    assert back.to_dict() == validated.to_dict()
+    assert back.validation == validated.validation
+    assert back.histogram == validated.histogram
     assert back.timing == fresh.timing
     assert back.feature_report.to_dict() == fresh.feature_report.to_dict()
+    assert back.training_lambdas == fresh.training_lambdas
     for name in ("hours", "lambda_hat", "assignment"):
         assert getattr(back, name).tobytes() == getattr(fresh, name).tobytes(), name
-    # the validation is not part of the stored scan; validating again gives its bits
-    again = gs.validate(back, data, oracle, 50).to_dict()
-    assert again == gs.validate(fresh, data, oracle, 50).to_dict()
+    # the stored validation holds every sampled hour: validating again
+    # gives its bits and makes no call
+    count = oracle.eval_count
+    assert gs.validate(back, data, oracle, 50).to_dict() == validated.to_dict()
+    assert oracle.eval_count == count
     # a model that is not the payload's clustering is refused
     payload = fresh.to_dict()
     other = replace(fresh.model, assignment=fresh.model.assignment[::-1].copy())
@@ -221,15 +241,29 @@ def test_compare_with_a_cached_scan_makes_no_selection_or_centroid_call(tmp_path
     fresh = gs.compare_full_vs_fast(data, oracle, small_config())
     stored = _stored_scan(gs.fast_scan(data, oracle, small_config()), tmp_path)
     count = oracle.eval_count
-    reused = gs.compare_full_vs_fast(data, oracle, small_config(), cached_scan=stored)
+    reused = gs.compare_full_vs_fast(data, oracle, small_config(), fast=stored)
     # only the hours the selection does not hold are swept
     assert oracle.eval_count - count == data.n_points - len(stored.training_lambdas)
     assert reused.to_dict() == fresh.to_dict()
     assert reused.timing["clustering_s"] == stored.timing["clustering_s"]
     count = oracle.eval_count
     gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=reused.full_trace,
-                            cached_scan=stored)
+                            fast=stored)
     assert oracle.eval_count == count
+
+
+def test_compare_sweeps_no_hour_a_validated_scan_holds(tmp_path):
+    data = small_year(n=400)
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    fresh = gs.compare_full_vs_fast(data, oracle, small_config())
+    scan = gs.validate(gs.fast_scan(data, oracle, small_config()), data, oracle, 50)
+    stored = _stored_scan(scan, tmp_path)
+    count = oracle.eval_count
+    reused = gs.compare_full_vs_fast(data, oracle, small_config(), fast=stored)
+    # neither the training hours nor the 50 sampled ones are swept again
+    assert stored.training_size < data.n_points - 50
+    assert oracle.eval_count - count == data.n_points - stored.training_size - 50
+    assert reused.lambda_full.tobytes() == fresh.lambda_full.tobytes()
 
 
 def test_fast_scan_deterministic_given_seed():
@@ -631,6 +665,33 @@ def test_compare_rejects_a_cached_trace_of_other_hours(hours):
     with pytest.raises(ValueError, match="covers other hours than the dataset"):
         gs.compare_full_vs_fast(data, oracle, small_config(), cached_full=cached)
     assert oracle.eval_count == 0
+
+
+def test_the_trace_csv_holds_the_values_the_run_paid_for(tmp_path):
+    # a fast scan's lambda column is blank at the hours nothing paid for;
+    # a compared one holds every hour, "nan" where the oracle failed
+    data = small_year(n=400)
+    base = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    bad_points = {data.values[i].tobytes() for i in range(0, data.n_points, 9)}
+
+    class Failing(StabilityOracle):
+        def _evaluate(self, point):
+            return np.nan if point.tobytes() in bad_points else base._evaluate(point)
+
+    oracle = Failing()
+    scan = gs.validate(gs.fast_scan(data, oracle, small_config()), data, oracle, 50)
+    compared = gs.compare_full_vs_fast(data, oracle, small_config(), fast=scan)
+
+    def lambda_column(report):
+        rows = report.save_trace_csv(tmp_path / "t.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [repr(v) for v in report.lambda_hat.tolist()]
+        return [row.split(",")[1] for row in rows]
+
+    held = scan.training_lambdas | {s.hour: s.lam for s in scan.validation}
+    assert scan.validation_excluded and "" in lambda_column(scan)
+    assert lambda_column(scan) == [repr(held[h]) if h in held else "" for h in scan.hours.tolist()]
+    assert "nan" in lambda_column(compared)
+    assert lambda_column(compared) == [repr(v) for v in compared.lambda_full.tolist()]
 
 
 def test_scan_report_serialization(tmp_path):
