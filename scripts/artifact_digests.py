@@ -11,7 +11,11 @@ cluster, fullscan, fastscan, compare, worstcase), then ``fastscan`` and
   500 validation hours (the shape of the benchmark's ``cli-staged``).
 
 For each step it prints the exit code, then one ``name sha256`` line per
-artifact listed in that step's ``run_manifest.json``.  Nothing printed
+artifact listed in that step's ``run_manifest.json``.  A last block runs
+the README quick start through the library (the default 8760-hour year,
+oracle seed 101): the sha256 of ``json.dumps(report.to_dict(), indent=2)``
+after ``fast_scan`` and after ``compare_full_vs_fast``, each validated on
+500 hours with seed 7, and of the feature report's payload.  Nothing printed
 depends on wall time or on where the runs are kept, so two revisions
 write the same artifacts exactly when their outputs are equal:
 
@@ -29,6 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import gridscan as gs
 from gridscan import cli
 
 STAGED = ("generate", "select", "cluster", "fullscan", "fastscan", "compare", "worstcase")
@@ -68,6 +73,21 @@ def step(label: str, command: str, out: Path, sets: list[str]):
             print(f"  {name} {hashlib.sha256((out / name).read_bytes()).hexdigest()}")
 
 
+def sha256_json(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
+def library():
+    """Print the digests of the README quick start's reports."""
+    data = gs.generate_synthetic_year(gs.SyntheticYearConfig(seed=1))
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=101)
+    fast = gs.validate(gs.fast_scan(data, oracle), data, oracle, 500, seed=7)
+    compared = gs.validate(gs.compare_full_vs_fast(data, oracle), data, oracle, 500, seed=7)
+    print(f"library fast_scan {sha256_json(fast.to_dict())}")
+    print(f"library compare {sha256_json(compared.to_dict())}")
+    print(f"library feature_report {sha256_json(fast.feature_report.to_dict())}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         for config in ("damping-300", "two-bus-csv"):
@@ -77,6 +97,7 @@ def main() -> int:
             for command in FRESH:
                 step(f"{config} fresh", command, Path(tmp) / config / f"fresh-{command}",
                      overrides(config, command, staged))
+    library()
     return 0
 
 

@@ -56,7 +56,7 @@ from .dataset import (
     save_csv,
 )
 from .oracles import ORACLE_KINDS, StabilityTrace, full_scan
-from .relief import DegeneratePredictionError
+from .relief import DegeneratePredictionError, FeatureReport
 from .relief import select_features  # noqa: F401  uncalled; perfbench spans wrap it
 from .scanning import (
     FailedCentroidError,
@@ -305,10 +305,10 @@ def _load(path: Path, meta: dict, key: dict, data):
                                           a["raw_max"]) for a in meta["attributes"]],
                     values=arrays["values"], timestamps=arrays["timestamps"])
         case "feature_report.json":  # the distance weights
-            rows = json.loads(path.read_text())["attributes"]
-            if len(rows) != data.n_attributes:
+            weights = FeatureReport.from_dict(json.loads(path.read_text())).distance_weights()
+            if len(weights) != data.n_attributes:
                 raise ValueError(f"{path} weighs other attributes than the dataset")
-            return np.maximum([row["adjusted_weight"] for row in rows], 0.0)
+            return weights
         case "cluster_model.json":
             model = ClusterModel.load_json(path)
             labels = model.assignment
@@ -409,7 +409,7 @@ def cmd_cluster(args, out: Path, config: dict) -> int:
     weights = _stored(out, "feature_report.json", key, data)
     if weights is None:
         weights = select_stage(data, oracle, scan).distance_weights()
-    model, _ = cluster_stage(data, weights, scan)
+    model = cluster_stage(data, weights, scan)
     _write_model(out, model, data, key)
     write_manifest(out, "cluster", config, ["cluster_model.json", "assignment.csv"])
     print(f"clustering: k={model.k} smse={model.smse:.6f} converged={model.converged}")

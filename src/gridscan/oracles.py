@@ -133,35 +133,33 @@ class DampingSurrogate(StabilityOracle):
 
     @classmethod
     def from_seed(cls, informative_indices, seed: int = 0, b0: float = 5.0,
-                  linear_scale: tuple[float, float] = (0.6, 1.0),
-                  quad_scale: tuple[float, float] = (0.1, 0.25),
                   delay_ms: float = 0.0) -> "DampingSurrogate":
         """Random signed coefficients over the given attribute subset.
 
-        Every informative attribute gets a linear term; consecutive pairs
-        get an interaction term, so the surrogate is nonlinear whenever
-        more than one attribute is informative.
+        Every informative attribute gets a linear term of magnitude in
+        [0.6, 1); consecutive pairs get an interaction term of magnitude in
+        [0.1, 0.25), so two or more informative attributes make it nonlinear.
         """
         idx = [int(i) for i in informative_indices]
         rng = np.random.default_rng(seed)
         signs = rng.choice([-1.0, 1.0], size=len(idx))
-        mags = rng.uniform(*linear_scale, size=len(idx))
+        mags = rng.uniform(0.6, 1.0, size=len(idx))
         linear = {i: float(s * m) for i, s, m in zip(idx, signs, mags)}
         quadratic = {}
         for a, b in zip(idx, idx[1:]):
-            quadratic[(a, b)] = float(rng.choice([-1.0, 1.0]) * rng.uniform(*quad_scale))
+            quadratic[(a, b)] = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.25))
         oracle = cls(b0=b0, linear=linear, quadratic=quadratic, delay_ms=delay_ms)
         oracle.params = replace(oracle.params, seed=seed, informative=idx)
         return oracle
 
 
-def affine_demand_map(load_indices, E: float, X: float, headroom: float = 0.9):
-    """Default base-load map: mean of the load columns, affinely mapped
-    from [-1, 1] onto [0, headroom * E^2/(2X)]."""
+def affine_demand_map(load_indices, E: float, X: float):
+    """Base-load map: mean of the load columns, affinely mapped from
+    [-1, 1] onto [0, 0.9 * E^2/(2X)]."""
     load_indices = [int(i) for i in load_indices]
     if not load_indices:
         raise ValueError("demand map needs at least one load column")
-    cap = headroom * E * E / (2.0 * X)
+    cap = 0.9 * E * E / (2.0 * X)
 
     def demand(point) -> float:
         point = np.asarray(point, dtype=float)
@@ -191,16 +189,13 @@ class TwoBusMargin(StabilityOracle):
 
     kind = "two_bus_margin"
 
-    def __init__(self, E: float, X: float, load_indices=None, demand_map=None,
-                 delay_ms: float = 0.0):
+    def __init__(self, E: float, X: float, load_indices=None, delay_ms: float = 0.0):
         super().__init__(delay_ms)
         if E <= 0 or X <= 0:
             raise ValueError("need E > 0 and X > 0")
         E, X = float(E), float(X)
         self.params = TwoBusParams(E, X, [int(i) for i in load_indices or ()], self.delay_ms)
-        if demand_map is None:
-            demand_map = affine_demand_map(self.params.load_columns, E, X)
-        self.demand_map = demand_map
+        self.demand_map = affine_demand_map(self.params.load_columns, E, X)
 
     def _evaluate(self, point: np.ndarray) -> float:
         return two_bus_margin(point, self.params.E, self.params.X, self.demand_map)
@@ -352,36 +347,30 @@ class StabilityTrace:
         return cls(hours=hours, lam=np.array([row[1] for row in rows], dtype=float), kind=kind)
 
 
-def evaluate_many(oracle, points, catch_failures: bool = False) -> np.ndarray:
+def evaluate_many(oracle, points) -> np.ndarray:
     """Evaluate the oracle at each point, optionally in worker threads.
 
     Thread count comes from GRIDSCAN_THREADS (default 1: sequential).
     Output order always matches input order.
 
     This is the one place that decides an oracle call failed: the oracle
-    raised an ``Exception`` or returned a non-finite value.  With
-    ``catch_failures`` a failed call is NaN in the returned array.
-    Without it the exception propagates, and a non-finite value raises
-    ``ValueError`` naming the point's position.
+    raised an ``Exception`` or returned a non-finite value.  A failed
+    call is NaN in the returned array.
     """
     points = np.asarray(points, dtype=float)
 
-    def one(pos, point):
+    def one(point):
         try:
             value = float(oracle(point))
-            if not math.isfinite(value):
-                raise ValueError(f"oracle returned {value} at point {pos}")
         except Exception:
-            if catch_failures:
-                return math.nan
-            raise
-        return value
+            return math.nan
+        return value if math.isfinite(value) else math.nan
 
     workers = worker_count()
     if workers <= 1 or len(points) < 2:
-        return np.array([one(i, p) for i, p in enumerate(points)], dtype=float)
+        return np.array([one(p) for p in points], dtype=float)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(len(points)), points)), dtype=float)
+        return np.array(list(pool.map(one, points)), dtype=float)
 
 
 def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTrace:
@@ -404,7 +393,7 @@ def full_scan(data, oracle, resume: StabilityTrace | None = None) -> StabilityTr
         elapsed = resume.elapsed_s
     if len(rows):
         start = time.perf_counter()
-        lam[rows] = evaluate_many(oracle, data.values[rows], catch_failures=True)
+        lam[rows] = evaluate_many(oracle, data.values[rows])
         elapsed += time.perf_counter() - start
     return StabilityTrace(
         hours=data.timestamps.copy(),

@@ -64,44 +64,58 @@ class ReliefParams:
 
 @dataclass(frozen=True)
 class FeatureReport:
-    """Per-attribute weights and ranks, before and after adjustment.
+    """Per-attribute weights before and after adjustment, and their ranks.
 
-    Rank 1 is the largest weight; both rank vectors are permutations of
-    1..n_attributes.  ``variances`` are attribute variances over the
-    training subset the weights were estimated on.  ``training_lambdas``
-    maps each training hour to its oracle value, in draw order; it is not
-    serialized.
+    Rank 1 is the largest weight, equal weights ranked by index; both rank
+    vectors are permutations of 1..n_attributes, read off the weights.
+    ``variances`` are attribute variances over the training subset the
+    weights were estimated on.  ``training_lambdas`` maps each training
+    hour to its oracle value, in draw order; it is not serialized.
     """
 
     names: tuple[str, ...]
     weights: np.ndarray
-    ranks: np.ndarray
     adjusted_weights: np.ndarray
-    adjusted_ranks: np.ndarray
     variances: np.ndarray
     training_size: int = 0
     converged: bool = False
     failed_hours: tuple[int, ...] = ()
     training_lambdas: dict[int, float] = field(default_factory=dict, repr=False)
 
+    @property
+    def ranks(self) -> np.ndarray:
+        return _ordinal_ranks(self.weights)
+
+    @property
+    def adjusted_ranks(self) -> np.ndarray:
+        return _ordinal_ranks(self.adjusted_weights)
+
     def top(self, n: int) -> list[str]:
         """Names of the n best attributes by adjusted rank."""
         order = np.argsort(self.adjusted_ranks)
         return [self.names[i] for i in order[:n]]
 
+    @property
+    def uniform_fallback(self) -> bool:
+        """True when no adjusted weight is positive, so distances weigh every attribute alike."""
+        return not np.any(self.adjusted_weights > 0)
+
     def distance_weights(self) -> np.ndarray:
-        """Adjusted weights clamped at zero, for use as distance weights."""
+        """Adjusted weights clamped at zero; uniform ones under :attr:`uniform_fallback`."""
+        if self.uniform_fallback:
+            return np.ones(len(self.adjusted_weights))
         return np.maximum(self.adjusted_weights, 0.0)
 
     def to_dict(self) -> dict:
+        ranks, adjusted_ranks = self.ranks, self.adjusted_ranks
         return {
             "attributes": [
                 {
                     "name": self.names[i],
                     "weight": float(self.weights[i]),
-                    "rank": int(self.ranks[i]),
+                    "rank": int(ranks[i]),
                     "adjusted_weight": float(self.adjusted_weights[i]),
-                    "adjusted_rank": int(self.adjusted_ranks[i]),
+                    "adjusted_rank": int(adjusted_ranks[i]),
                     "variance": float(self.variances[i]),
                 }
                 for i in range(len(self.names))
@@ -116,16 +130,14 @@ class FeatureReport:
         """The report of a :meth:`to_dict` payload; its ``to_dict`` gives the payload back."""
         rows = payload["attributes"]
 
-        def column(key, dtype):
-            return np.array([row[key] for row in rows], dtype=dtype)
+        def column(key):
+            return np.array([row[key] for row in rows], dtype=float)
 
         return cls(
             names=tuple(row["name"] for row in rows),
-            weights=column("weight", float),
-            ranks=column("rank", int),
-            adjusted_weights=column("adjusted_weight", float),
-            adjusted_ranks=column("adjusted_rank", int),
-            variances=column("variance", float),
+            weights=column("weight"),
+            adjusted_weights=column("adjusted_weight"),
+            variances=column("variance"),
             training_size=payload["training_size"],
             converged=payload["converged"],
             failed_hours=tuple(payload["failed_hours"]),
@@ -139,7 +151,8 @@ class FeatureReport:
     def save_csv(self, path) -> Path:
         """Write the feature table sorted by adjusted rank."""
         path = Path(path)
-        order = np.argsort(self.adjusted_ranks)
+        ranks, adjusted_ranks = self.ranks, self.adjusted_ranks
+        order = np.argsort(adjusted_ranks)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -150,9 +163,9 @@ class FeatureReport:
                     [
                         self.names[i],
                         f"{self.weights[i]:.6g}",
-                        int(self.ranks[i]),
+                        int(ranks[i]),
                         f"{self.adjusted_weights[i]:.6g}",
-                        int(self.adjusted_ranks[i]),
+                        int(adjusted_ranks[i]),
                     ]
                 )
         return path
@@ -320,15 +333,11 @@ def rrelieff_pass(
             "leave an empty weight denominator"
         )
     weights = n_dca / n_dc - (n_da - n_dca) / (m - n_dc)
-    ranks = _ordinal_ranks(weights)
-    variances = X.var(axis=0)
     return FeatureReport(
         names=tuple(f"a{i}" for i in range(n_attr)),
         weights=weights,
-        ranks=ranks,
         adjusted_weights=weights.copy(),
-        adjusted_ranks=ranks.copy(),
-        variances=variances,
+        variances=X.var(axis=0),
         training_size=n,
     )
 
@@ -339,7 +348,7 @@ def adjust_weights(report: FeatureReport, C: float | None = None) -> FeatureRepo
     Natural log; rank >= 1 keeps the denominator at ln 2 or above.  When C
     is None it is chosen as 1/max of the raw adjusted values so the
     largest adjusted weight is 1 (falling back to C=1 when no raw value is
-    positive).  Adjusted ranks are recomputed on the adjusted weights.
+    positive).  The adjusted ranks follow from the adjusted weights.
     """
     raw = report.weights * report.variances / np.log(2.0 * report.ranks)
     if C is None:
@@ -347,9 +356,7 @@ def adjust_weights(report: FeatureReport, C: float | None = None) -> FeatureRepo
         C = 1.0 / top if top > 0 else 1.0
     if C <= 0:
         raise ValueError("C must be positive")
-    adjusted = C * raw
-    adj_ranks = _ordinal_ranks(adjusted)
-    return replace(report, adjusted_weights=adjusted, adjusted_ranks=adj_ranks)
+    return replace(report, adjusted_weights=C * raw)
 
 
 def _grow_neighbors(X: np.ndarray, kept: tuple[np.ndarray, np.ndarray] | None,
@@ -453,7 +460,7 @@ def select_features(
     while cursor < n:
         take = pick_order[cursor : cursor + params.batch]
         cursor += len(take)
-        values = evaluate_many(oracle, X_all[take], catch_failures=True)
+        values = evaluate_many(oracle, X_all[take])
         ok = ~np.isnan(values)
         failed += hours[take[~ok]].tolist()
         train_rows += take[ok].tolist()
@@ -469,7 +476,6 @@ def select_features(
         passed = replace(
             passed,
             names=tuple(data.attribute_names()),
-            training_size=size,
             failed_hours=tuple(failed),
         )
         report = adjust_weights(passed, C)

@@ -66,36 +66,61 @@ class ValidationSample:
 class ScanReport:
     """Fast-scan output plus optional validation and comparison extras.
 
-    ``lambda_hat`` is aligned with ``hours``; hours sharing a cluster id
-    share the value bitwise.  ``reduction`` is 1 - k_final/|R|.  APE
-    statistics exist only after validation; ``full_trace`` and
-    ``speedup`` only after a comparison run.  ``full_trace`` is the
-    exhaustive scan's :class:`StabilityTrace`, run or reused, and
-    ``lambda_full`` its indices (NaN where the oracle failed).
-    ``validation_excluded`` counts the sampled hours validation left out
-    because no value was found or the oracle failed there.
+    It stores what the stages produced: ``feature_report``, ``model``,
+    the stage times in ``timing`` and the imputed ``lambda_hat``, aligned
+    with ``hours`` (hours sharing a cluster id share the value bitwise);
+    what those determine is a property.  APE statistics exist only after
+    validation; ``full_trace`` and ``speedup`` only after a comparison
+    run.  ``full_trace`` is the exhaustive scan's :class:`StabilityTrace`,
+    run or reused, and ``lambda_full`` its indices (NaN where the oracle
+    failed).  ``validation_excluded`` lists the sampled hours validation
+    left out because no value was found or the oracle failed there.
     """
 
     hours: np.ndarray
     lambda_hat: np.ndarray
-    assignment: np.ndarray
-    k_final: int
-    reduction: float
-    training_size: int
-    oracle_evaluations: int
     feature_report: FeatureReport
     model: ClusterModel
-    feature_selection_converged: bool
-    clustering_converged: bool
-    weights_fallback_uniform: bool = False
     timing: dict[str, float] = field(default_factory=dict)
     validation: tuple[ValidationSample, ...] = ()
     mape: float | None = None
     max_ape: float | None = None
     histogram: tuple[tuple[float, float, int], ...] = ()
-    validation_excluded: int = 0
+    validation_excluded: tuple[int, ...] = ()
     full_trace: StabilityTrace | None = None
-    speedup: float | None = None
+
+    @property
+    def assignment(self) -> np.ndarray:
+        return self.model.assignment
+
+    @property
+    def k_final(self) -> int:
+        return self.model.k
+
+    @property
+    def reduction(self) -> float:
+        """1 - k_final/|R|."""
+        return 1.0 - self.model.k / len(self.hours)
+
+    @property
+    def training_size(self) -> int:
+        return self.feature_report.training_size
+
+    @property
+    def oracle_evaluations(self) -> int:
+        return self.training_size + len(self.feature_report.failed_hours) + self.model.k
+
+    @property
+    def speedup(self) -> float | None:
+        """The full scan's time over the fast stages' time; None without a comparison."""
+        if "full_scan_s" not in self.timing:
+            return None
+        fast_total = (
+            self.timing["feature_selection_s"]
+            + self.timing["clustering_s"]
+            + self.timing["centroid_eval_s"]
+        )
+        return self.timing["full_scan_s"] / fast_total if fast_total > 0 else float("inf")
 
     @property
     def training_lambdas(self) -> dict[int, float]:
@@ -109,7 +134,7 @@ class ScanReport:
     @property
     def flagged(self) -> bool:
         """True when any stage failed to converge."""
-        return not (self.feature_selection_converged and self.clustering_converged)
+        return not (self.feature_report.converged and self.model.converged)
 
     def to_dict(self) -> dict:
         payload = {
@@ -117,9 +142,9 @@ class ScanReport:
             "reduction": self.reduction,
             "training_size": self.training_size,
             "oracle_evaluations": self.oracle_evaluations,
-            "feature_selection_converged": self.feature_selection_converged,
-            "clustering_converged": self.clustering_converged,
-            "weights_fallback_uniform": self.weights_fallback_uniform,
+            "feature_selection_converged": self.feature_report.converged,
+            "clustering_converged": self.model.converged,
+            "weights_fallback_uniform": self.feature_report.uniform_fallback,
             "mape": self.mape,
             "max_ape": self.max_ape,
             "hours": [int(h) for h in self.hours],
@@ -140,7 +165,7 @@ class ScanReport:
             "feature_report": self.feature_report.to_dict(),
         }
         if self.validation_excluded:
-            payload["validation_excluded"] = self.validation_excluded
+            payload["validation_excluded"] = list(self.validation_excluded)
         if self.lambda_full is not None:
             payload["lambda_full"] = [float(v) for v in self.lambda_full]
         return payload
@@ -155,19 +180,18 @@ class ScanReport:
         training = {int(h): v for h, v in dict(payload["training_lambdas"]).items()}
         freport = replace(FeatureReport.from_dict(payload["feature_report"]),
                           training_lambdas=training)
-        weights, fallback = _with_fallback(freport.distance_weights(), len(freport.names))
         hours = np.array(payload["hours"], dtype=int)
         lambda_hat = np.array(payload["lambda_hat"], dtype=float)
         if (len(hours) != len(lambda_hat)
                 or not np.array_equal(payload["assignment"], model.assignment)
-                or np.asarray(model.weights, dtype=float).tobytes() != weights.tobytes()):
+                or not _clustered_with(model, freport)):
             raise ValueError("the scan was not clustered as its model")
         samples = [ValidationSample(s["hour"], s["lambda"], s["lambda_hat"], s["ape"],
                                     s["absolute_fallback"]) for s in payload["validation"]]
-        report = _fast_report(hours, lambda_hat, freport, model, fallback, dict(timing))
-        return replace(report, validation=tuple(samples), mape=payload["mape"],
-                       max_ape=payload["max_ape"], histogram=tuple(map(tuple, payload["histogram"])),
-                       validation_excluded=payload.get("validation_excluded", 0))
+        return cls(hours=hours, lambda_hat=lambda_hat, feature_report=freport, model=model,
+                   timing=dict(timing), validation=tuple(samples), mape=payload["mape"],
+                   max_ape=payload["max_ape"], histogram=tuple(map(tuple, payload["histogram"])),
+                   validation_excluded=tuple(payload.get("validation_excluded", ())))
 
     def save_json(self, path) -> Path:
         path = Path(path)
@@ -200,25 +224,21 @@ def select_stage(data, oracle, config: ScanConfig = ScanConfig()) -> FeatureRepo
     return select_features(data, oracle, config.relief, C=config.C, seed=selection_seed)
 
 
-def _with_fallback(weights, n_attributes: int) -> tuple[np.ndarray, bool]:
-    """The weights clustering uses: all-zero ones fall back to uniform (flag set)."""
-    fallback = not np.any(weights > 0)
-    return (np.ones(n_attributes) if fallback else weights), fallback
+def _clustered_with(model: ClusterModel, freport: FeatureReport) -> bool:
+    """True when ``model`` was clustered with ``freport``'s distance weights, bit for bit."""
+    return np.asarray(model.weights, dtype=float).tobytes() == freport.distance_weights().tobytes()
 
 
-def cluster_stage(data, weights, config: ScanConfig = ScanConfig()) -> tuple[ClusterModel, bool]:
-    """Second stage of :func:`fast_scan`: clustering on the derived swarm seed.
-
-    All-zero distance weights fall back to uniform ones; the flag says so.
-    The model's ``elapsed_s`` is the stage's wall time.
-    """
+def cluster_stage(data, weights, config: ScanConfig = ScanConfig()) -> ClusterModel:
+    """Second stage of :func:`fast_scan`: clustering with a feature report's
+    distance weights on the derived swarm seed.  The model's ``elapsed_s``
+    is the stage's wall time."""
     _, pso_seed = _derived_seeds(config.seed)
     start = time.perf_counter()
-    weights, fallback = _with_fallback(weights, data.n_attributes)
     model = self_adaptive_pso_kmeans(data.values, weights, config.pso, config.adapt,
                                      seed=pso_seed)
     model.elapsed_s = time.perf_counter() - start
-    return model, fallback
+    return model
 
 
 def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
@@ -231,13 +251,14 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     the report's feature report (``training_lambdas``).  A failed centroid
     call raises :class:`FailedCentroidError`.  A non-converged feature
     selection proceeds with its latest weights and is flagged in the
-    report.
+    report.  Clustering uses the feature report's distance weights
+    (uniform ones when no adjusted weight is positive).
 
     A ``cached_model`` (a clustering of this dataset under this config)
     replaces the clustering stage; feature selection still runs, and the
-    model is used only if its weights equal the ones it yields, bit for
-    bit: a model clustered with other weights is no cache, and the
-    clustering stage runs.  With the model used,
+    model is used only if it was clustered with the weights the selection
+    yields, bit for bit: a model clustered with other weights is no
+    cache, and the clustering stage runs.  With the model used,
     ``timing["clustering_s"]`` is its ``elapsed_s``, the time its
     clustering took when it was made.
     """
@@ -245,15 +266,13 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
     freport = select_stage(data, oracle, config)
     t_select = time.perf_counter() - t0
 
-    weights, fallback = _with_fallback(freport.distance_weights(), data.n_attributes)
-    if (cached_model is not None
-            and np.asarray(cached_model.weights, dtype=float).tobytes() == weights.tobytes()):
+    if cached_model is not None and _clustered_with(cached_model, freport):
         model = cached_model
     else:
-        model, _ = cluster_stage(data, freport.distance_weights(), config)
+        model = cluster_stage(data, freport.distance_weights(), config)
 
     t2 = time.perf_counter()
-    centroid_lam = evaluate_many(oracle, model.centroids, catch_failures=True)
+    centroid_lam = evaluate_many(oracle, model.centroids)
     t_centroid = time.perf_counter() - t2
     failed = np.flatnonzero(np.isnan(centroid_lam)).tolist()
     if failed:
@@ -263,29 +282,8 @@ def fast_scan(data, oracle, config: ScanConfig = ScanConfig(),
 
     timing = {"feature_selection_s": t_select, "clustering_s": model.elapsed_s,
               "centroid_eval_s": t_centroid}
-    return _fast_report(data.timestamps.copy(), centroid_lam[model.assignment], freport, model,
-                        fallback, timing)
-
-
-def _fast_report(hours, lambda_hat, freport: FeatureReport, model: ClusterModel,
-                 fallback: bool, timing: dict) -> ScanReport:
-    """The report of a fast scan: the imputed ``lambda_hat`` at ``hours``, and
-    what the selection and the clustering determine, taken from them."""
-    return ScanReport(
-        hours=hours,
-        lambda_hat=lambda_hat,
-        assignment=model.assignment.copy(),
-        k_final=model.k,
-        reduction=1.0 - model.k / len(hours),
-        training_size=freport.training_size,
-        oracle_evaluations=freport.training_size + len(freport.failed_hours) + model.k,
-        feature_report=freport,
-        model=model,
-        feature_selection_converged=freport.converged,
-        clustering_converged=model.converged,
-        weights_fallback_uniform=fallback,
-        timing=timing,
-    )
+    return ScanReport(hours=data.timestamps.copy(), lambda_hat=centroid_lam[model.assignment],
+                      feature_report=freport, model=model, timing=timing)
 
 
 def _held_values(report: ScanReport, rows, trace: StabilityTrace | None = None) -> np.ndarray:
@@ -313,10 +311,12 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     ``full_trace``, else ``known``, a full-scan trace of the same hours),
     then from the selection's values, then from the report's own
     validation samples (a stored scan keeps them).  Only without a trace
-    is the oracle called, at the sampled hours none of them holds; a
-    trace covers every hour, its NaN marking a failed call.  A sampled
-    hour still without a value is left out after the draw and counted in
-    ``validation_excluded``; if every one is, ``ValueError``.
+    is the oracle called, at the sampled hours none of them holds and
+    the report's ``validation_excluded`` does not list (the oracle is
+    pure, so a call that failed fails again); a trace covers every hour,
+    its NaN marking a failed call.  A sampled hour still without a value
+    is left out after the draw and listed in ``validation_excluded``; if
+    every one is, ``ValueError``.
 
     APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
     to the absolute error and are flagged.  The histogram uses
@@ -342,11 +342,12 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     trace = known if report.full_trace is None else report.full_trace
     true_vals = _held_values(report, picked, trace)
     if trace is None:
-        fresh = np.isnan(true_vals)
-        true_vals[fresh] = evaluate_many(oracle, data.values[picked[fresh]], catch_failures=True)
+        fresh = np.isnan(true_vals) & ~np.isin(hours[picked], report.validation_excluded)
+        true_vals[fresh] = evaluate_many(oracle, data.values[picked[fresh]])
     failed = np.isnan(true_vals)
     if failed.all():
         raise ValueError("the oracle failed at every sampled hour")
+    excluded = tuple(hours[picked[failed]].tolist())
     picked, true_vals = picked[~failed], true_vals[~failed]
 
     samples = []
@@ -366,7 +367,7 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
         mape=float(apes.mean()),
         max_ape=float(apes.max()),
         histogram=tuple(_percentage_histogram(apes)),
-        validation_excluded=int(failed.sum()),
+        validation_excluded=excluded,
     )
 
 
@@ -448,16 +449,16 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
 
     ``fast`` is the fast scan compared: a :func:`fast_scan` report of this
     dataset under this config, with its recorded timing, else
-    ``fast_scan(data, oracle, config)`` runs.  speed-up = full_scan_s /
-    (feature_selection_s + clustering_s + centroid_eval_s).  The
-    exhaustive scan sweeps only the hours whose value the run does not
-    hold yet: feature selection has paid for its training hours, a
-    validated ``fast`` for its sampled ones, and the oracle is pure, so
-    their values are the ones a sweep would return, bit for bit.
-    ``full_scan_s`` still stands for a sweep of every hour: each reused
-    hour is charged the sweep's mean time per hour (both draws are
-    uniform), or, when the run holds every hour, the selection's own
-    time.  The trace records that time as its ``elapsed_s``.
+    ``fast_scan(data, oracle, config)`` runs.  The exhaustive scan sweeps
+    only the hours whose value the run does not hold yet: feature
+    selection has paid for its training hours, a validated ``fast`` for
+    its sampled ones, and the oracle is pure, so their values are the
+    ones a sweep would return, bit for bit.  ``timing["full_scan_s"]``,
+    which :attr:`ScanReport.speedup` reads, still stands for a sweep of
+    every hour: each reused hour is charged the sweep's mean time per
+    hour (both draws are uniform), or, when the run holds every hour,
+    the selection's own time.  The trace records that time as its
+    ``elapsed_s``.
 
     A cached full-scan trace (with its recorded elapsed time) can
     substitute for the sweep; of a partial one only the hours that
@@ -480,19 +481,8 @@ def compare_full_vs_fast(data, oracle, config: ScanConfig = ScanConfig(),
             swept = int(np.isnan(lam).sum())
             trace.elapsed_s = (trace.elapsed_s * data.n_points / swept if swept
                                else report.timing["feature_selection_s"])
-    fast_total = (
-        report.timing["feature_selection_s"]
-        + report.timing["clustering_s"]
-        + report.timing["centroid_eval_s"]
-    )
-    timing = dict(report.timing)
-    timing["full_scan_s"] = trace.elapsed_s
-    return replace(
-        report,
-        full_trace=trace,
-        timing=timing,
-        speedup=trace.elapsed_s / fast_total if fast_total > 0 else float("inf"),
-    )
+    timing = {**report.timing, "full_scan_s": trace.elapsed_s}
+    return replace(report, full_trace=trace, timing=timing)
 
 
 def _derived_seeds(seed: int) -> tuple[int, int]:

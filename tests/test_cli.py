@@ -980,7 +980,7 @@ def test_compare_caps_the_sample_at_the_hours_the_full_scan_resolved(tmp_path, c
                  "--set", "scan.sample_size=500"])
     assert code == 0
     report = json.loads((out / "scan_report.json").read_text())
-    assert report["validation_excluded"] == 2
+    assert report["validation_excluded"] == [3, 77]
     assert len(report["validation"]) == 298
 
 
@@ -1006,7 +1006,7 @@ def test_fastscan_leaves_out_the_hours_a_partial_full_trace_records_as_failed(
     assert main(["fastscan", "--config", config_path, "--out", str(out)] + sample_all) == 0
     report = json.loads((out / "scan_report.json").read_text())
     assert built[-1].eval_count == report["oracle_evaluations"]
-    assert report["validation_excluded"] == 2
+    assert report["validation_excluded"] == [3, 77]
     assert len(report["validation"]) == 298
     assert not {3, 77} & {s["hour"] for s in report["validation"]}
 
@@ -1020,6 +1020,31 @@ def test_fastscan_leaves_out_the_hours_a_partial_full_trace_records_as_failed(
         assert {k: other[k] for k in block} == {k: report[k] for k in block}
     assert ((tmp_path / "fresh_fastscan" / "scan_report.json").read_bytes()
             == (out / "scan_report.json").read_bytes())
+
+
+def test_second_fastscan_calls_no_hour_its_validation_left_out(tmp_path, config_path,
+                                                               monkeypatch):
+    # every hour is sampled; the solver fails at hours 3 and 77, so the
+    # first fastscan lists them, the second calls neither again, and
+    # compare's sweep retries exactly them
+    sample_all = ["--set", "scan.sample_size=300"]
+    build, built = cli.build_oracle, []
+
+    def failing(config, data):
+        built.append(_FailingSurrogate(build(config, data), data.values[[3, 77]]))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_oracle", failing)
+    out = tmp_path / "out"
+    assert main(["fastscan", "--config", config_path, "--out", str(out)] + sample_all) == 0
+    first = (out / "scan_report.json").read_bytes()
+    assert json.loads(first)["validation_excluded"] == [3, 77]
+    assert main(["fastscan", "--config", config_path, "--out", str(out)] + sample_all) == 0
+    assert built[-1].eval_count == 0
+    assert (out / "scan_report.json").read_bytes() == first
+    assert main(["compare", "--config", config_path, "--out", str(out)] + sample_all) == 0
+    assert built[-1].eval_count == 2
+    assert json.loads((out / "full_trace.meta.json").read_text())["partial"] is True
 
 
 def _repeated_year_csv(tmp_path, n_distinct, copies):

@@ -136,7 +136,7 @@ def test_margin_rejects_bad_parameters():
 
 
 def test_affine_demand_map_range():
-    demand = affine_demand_map([0, 1], E=1.0, X=0.5, headroom=0.9)
+    demand = affine_demand_map([0, 1], E=1.0, X=0.5)
     cap = 0.9 * 1.0 / (2 * 0.5)
     assert demand(np.array([-1.0, -1.0])) == 0.0
     assert abs(demand(np.array([1.0, 1.0])) - cap) < 1e-12
@@ -145,8 +145,7 @@ def test_affine_demand_map_range():
 
 def test_two_bus_oracle_negative_margin_flags_infeasible():
     # a demand map exceeding the transfer ceiling yields a negative margin
-    oracle = gs.TwoBusMargin(E=1.0, X=0.5, demand_map=lambda p: 1.5)
-    assert oracle(np.zeros(3)) == -0.5
+    assert two_bus_margin(np.zeros(1), 1.0, 0.5, lambda p: 1.5) == -0.5
 
 
 # ── tabulated oracle and full scan ───────────────────────────────────────
@@ -285,23 +284,23 @@ def test_evaluate_many_threaded_matches_sequential(rng, monkeypatch):
     for threads in ("1", "4"):
         monkeypatch.setenv("GRIDSCAN_THREADS", threads)
         assert np.array_equal(evaluate_many(oracle, pts), seq)
-        # a non-finite value is a failed call: NaN when caught, else ValueError
+        # a non-finite value is a failed call: NaN
         for value in (math.nan, math.inf, -math.inf):
             flaky = _Returning(pts[[4, 30]], value)
-            caught = evaluate_many(flaky, pts, catch_failures=True)
+            caught = evaluate_many(flaky, pts)
             assert np.array_equal(np.flatnonzero(np.isnan(caught)), [4, 30])
             assert np.array_equal(np.delete(caught, [4, 30]), np.delete(seq, [4, 30]))
-            with pytest.raises(ValueError, match=f"oracle returned {value} at point 4"):
-                evaluate_many(flaky, pts)
 
 
-def test_evaluate_many_propagates_exceptions_unless_caught(rng):
+def test_evaluate_many_turns_a_raise_or_a_nan_into_nan(rng):
     pts = rng.uniform(-1, 1, size=(5, 2))
-    oracle = TabulatedOracle(pts[:3], np.arange(3.0))
+    raising = TabulatedOracle(pts[:3], np.arange(3.0))
     with pytest.raises(KeyError):
-        evaluate_many(oracle, pts)
-    values = evaluate_many(oracle, pts, catch_failures=True)
-    assert np.array_equal(values[:3], [0.0, 1.0, 2.0]) and np.isnan(values[3:]).all()
+        raising(pts[3])
+    returning = TabulatedOracle(pts, [0.0, 1.0, 2.0, math.nan, math.nan])
+    for oracle in (raising, returning):
+        values = evaluate_many(oracle, pts)
+        assert np.array_equal(values[:3], [0.0, 1.0, 2.0]) and np.isnan(values[3:]).all()
 
 
 def test_full_scan_records_nan_returns_as_failed_hours(rng):

@@ -246,15 +246,11 @@ def test_pass_duplicate_column_equal_weights(rng):
 
 
 def _report(weights, variances):
-    from scipy.stats import rankdata
-
     weights = np.asarray(weights, dtype=float)
     return gs.FeatureReport(
         names=tuple(f"a{i}" for i in range(len(weights))),
         weights=weights,
-        ranks=rankdata(-weights, method="ordinal").astype(int),
         adjusted_weights=weights.copy(),
-        adjusted_ranks=rankdata(-weights, method="ordinal").astype(int),
         variances=np.asarray(variances, dtype=float),
     )
 

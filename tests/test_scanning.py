@@ -7,6 +7,7 @@ import pytest
 import gridscan as gs
 from gridscan.clustering import AdaptiveParams, PsoParams
 from gridscan.oracles import THREADS_ENV, StabilityOracle
+from gridscan import scanning
 from gridscan.relief import ReliefParams
 from gridscan.scanning import ScanConfig
 
@@ -146,7 +147,7 @@ def test_fast_scan_flags_unconverged_selection():
         seed=0,
     )
     report = gs.fast_scan(data, oracle, config)
-    assert not report.feature_selection_converged
+    assert not report.feature_report.converged
     assert report.flagged
     assert report.k_final >= 1  # proceeded with the latest weights
 
@@ -233,6 +234,32 @@ def test_a_scan_report_rebuilds_from_its_payload_and_model(tmp_path):
     heavier = replace(fresh.model, weights=2 * fresh.model.weights)
     with pytest.raises(ValueError, match="not clustered as its model"):
         gs.ScanReport.from_dict(payload, heavier, fresh.timing)
+
+
+def test_a_selection_with_no_positive_adjusted_weight_clusters_on_uniform_weights(
+        tmp_path, monkeypatch):
+    data = small_year()
+    oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
+    select = scanning.select_features
+
+    def non_positive(*args, **kwargs):
+        report = select(*args, **kwargs)
+        return replace(report, adjusted_weights=-np.abs(report.adjusted_weights))
+
+    monkeypatch.setattr(scanning, "select_features", non_positive)
+    report = gs.fast_scan(data, oracle, small_config())
+    uniform = np.ones(data.n_attributes).tobytes()
+    freport = report.feature_report
+    assert freport.uniform_fallback
+    assert freport.distance_weights().tobytes() == uniform
+    assert report.model.weights.tobytes() == uniform
+    payload = report.to_dict()
+    assert payload["weights_fallback_uniform"] is True
+    assert _stored_scan(report, tmp_path).to_dict() == payload
+    # one positive weight keeps the clamped weights
+    mixed = replace(freport, adjusted_weights=np.r_[0.5, freport.adjusted_weights[1:]])
+    assert not mixed.uniform_fallback
+    assert np.array_equal(mixed.distance_weights(), np.r_[0.5, np.zeros(data.n_attributes - 1)])
 
 
 def test_compare_with_a_cached_scan_makes_no_selection_or_centroid_call(tmp_path):
@@ -402,7 +429,7 @@ def test_validate_leaves_out_the_failed_sampled_hours_whatever_holds_the_values(
         checked = gs.validate(report, data, oracle, 500, seed=2, known=known)
         assert (oracle.eval_count == count) == (known is not None or report is compared)
         assert checked.validation == tuple(s for s in drawn if s.hour not in bad_hours)
-        assert checked.to_dict()["validation_excluded"] == len(left_out)
+        assert checked.to_dict()["validation_excluded"] == sorted(left_out)
         assert sum(c for _, _, c in checked.histogram) == 500 - len(left_out)
         blocks.append((checked.validation, checked.mape, checked.max_ape, checked.histogram,
                        checked.validation_excluded))
