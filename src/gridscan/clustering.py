@@ -44,18 +44,6 @@ def validate_weights(w, n_attributes: int | None = None) -> np.ndarray:
     return w
 
 
-def weighted_distance(x, y, w) -> float:
-    """sqrt(sum_d w_d (x_d - y_d)^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if x.shape != y.shape or x.shape != w.shape:
-        raise ValueError(
-            f"dimension mismatch: x{x.shape}, y{y.shape}, w{w.shape}"
-        )
-    return float(np.sqrt(np.sum(w * (x - y) ** 2)))
-
-
 _ROW_BLOCK = 32
 
 
@@ -196,24 +184,33 @@ class ClusterModel:
     ``assignment[i]`` is the index of the weighted-distance-nearest
     centroid of point i (ties broken toward the lowest index).  ``smse``
     is the average over non-empty clusters of the mean member distance;
-    for repaired final models ``empty_clusters`` is empty and :func:`smse`
-    gives the same bits.  ``elapsed_s`` is the wall time of
-    the scan's clustering stage that produced the model (0 outside a
-    scan); it is not serialized.
+    for repaired final models ``empty_clusters`` is empty.  ``k`` and
+    ``empty_clusters`` are derived from ``centroids`` and ``assignment``,
+    not stored.  ``elapsed_s`` is the wall time of the scan's clustering
+    stage that produced the model (0 outside a scan); it is not
+    serialized.
     """
 
     centroids: np.ndarray
     assignment: np.ndarray
     weights: np.ndarray
     smse: float
-    k: int
-    empty_clusters: tuple[int, ...] = ()
     converged: bool = True
     eps_d: float | None = None
     eps_c: float | None = None
     smse_history: list[float] = field(default_factory=list, repr=False)
     objective_history: list[float] = field(default_factory=list, repr=False)
     elapsed_s: float = 0.0
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
+
+    @property
+    def empty_clusters(self) -> tuple[int, ...]:
+        """The centroids no point is assigned to."""
+        counts = np.bincount(self.assignment, minlength=self.k)
+        return tuple(np.flatnonzero(counts == 0).tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -234,18 +231,21 @@ class ClusterModel:
 
     @classmethod
     def load_json(cls, path) -> "ClusterModel":
-        """Read a :meth:`save_json` file back; the histories come back empty."""
+        """Read a :meth:`save_json` file back; the histories come back empty.
+        ``ValueError`` unless the file's ``k`` counts its centroids."""
         payload = json.loads(Path(path).read_text())
-        return cls(
+        model = cls(
             centroids=np.array(payload["centroids"], dtype=float),
             assignment=np.array(payload["assignment"], dtype=np.intp),
             weights=np.array(payload["weights"], dtype=float),
             smse=payload["smse"],
-            k=payload["k"],
             converged=payload["converged"],
             eps_d=payload["eps_d"],
             eps_c=payload["eps_c"],
         )
+        if payload["k"] != model.k:
+            raise ValueError(f"{path} states k={payload['k']} for {model.k} centroids")
+        return model
 
     def save_assignment_csv(self, path, hours) -> Path:
         path = Path(path)
@@ -253,20 +253,6 @@ class ClusterModel:
         lines += [f"{int(h)},{int(c)}" for h, c in zip(hours, self.assignment)]
         path.write_text("\n".join(lines) + "\n")
         return path
-
-
-def smse(model: ClusterModel, X) -> float:
-    """SMSE of a model's assignment and centroids, recomputed on ``X``.
-
-    Raises on empty clusters; repair (or drop) them first.
-    """
-    labels = np.asarray(model.assignment)
-    k = model.centroids.shape[0]
-    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
-    if len(empty):
-        raise ValueError(f"empty cluster(s) {empty.tolist()}: repair before computing SMSE")
-    dists = _WeightedSpace(X, model.weights).point_dists(model.centroids, labels)
-    return _mean_cluster_distance(labels, dists, k)
 
 
 def _cluster_means(X: np.ndarray, labels: np.ndarray, old_centroids: np.ndarray,
@@ -414,15 +400,11 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER, *,
         stale[new_labels[changed]] = True
         labels = new_labels
 
-    counts = np.bincount(labels, minlength=k)
-    empty = tuple(int(i) for i in np.flatnonzero(counts == 0))
     return ClusterModel(
         centroids=C,
         assignment=labels,
         weights=space.w,
         smse=history[-1],
-        k=k,
-        empty_clusters=empty,
         converged=converged,
         smse_history=history,
         objective_history=objective,
@@ -430,7 +412,8 @@ def kmeans(X, initial_centroids, w, max_iter: int = KMEANS_MAX_ITER, *,
 
 
 class TooFewPointsError(ValueError):
-    """More initial centroids asked for than the data has (distinct) points."""
+    """Fewer (distinct) points than a stage needs: more initial centroids
+    than the data has, or no more training points than Relief's ``k``."""
 
 
 def init_centroids_random(X, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -744,7 +727,6 @@ def self_adaptive_pso_kmeans(
             assignment=labels,
             weights=space.w,
             smse=model.smse,
-            k=centroids.shape[0],
             converged=True,
             eps_d=eps_d,
             eps_c=eps_c,

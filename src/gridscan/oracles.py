@@ -189,12 +189,12 @@ class TwoBusMargin(StabilityOracle):
 
     kind = "two_bus_margin"
 
-    def __init__(self, E: float, X: float, load_indices=None, delay_ms: float = 0.0):
+    def __init__(self, E: float, X: float, load_indices, delay_ms: float = 0.0):
         super().__init__(delay_ms)
         if E <= 0 or X <= 0:
             raise ValueError("need E > 0 and X > 0")
         E, X = float(E), float(X)
-        self.params = TwoBusParams(E, X, [int(i) for i in load_indices or ()], self.delay_ms)
+        self.params = TwoBusParams(E, X, [int(i) for i in load_indices], self.delay_ms)
         self.demand_map = affine_demand_map(self.params.load_columns, E, X)
 
     def _evaluate(self, point: np.ndarray) -> float:

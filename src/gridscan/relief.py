@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import _pairwise_dists
+from .clustering import TooFewPointsError, _pairwise_dists
 from .oracles import evaluate_many
 
 
@@ -434,7 +434,9 @@ def select_features(
     (NaN from the sweep) are skipped and recorded in ``failed_hours``, in
     batch order.  Every successful call is a training point, and the
     report's ``training_lambdas`` hold their values, so callers reuse them
-    instead of calling the oracle again.
+    instead of calling the oracle again.  A dataset whose usable points
+    never outnumber ``params.k`` raises
+    :class:`~gridscan.clustering.TooFewPointsError`.
     """
     X_all = data.values
     hours = data.timestamps
@@ -493,7 +495,7 @@ def select_features(
         prev_scaled = scaled
 
     if report is None:
-        raise ValueError(
+        raise TooFewPointsError(
             f"dataset too small: {len(train_rows)} usable points, need more than k={params.k}"
         )
     return replace(report, training_lambdas=dict(zip(hours[train_rows].tolist(), train_lam)))

@@ -53,28 +53,23 @@ class ScanConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class ValidationSample:
-    hour: int
-    lam: float
-    lam_hat: float
-    ape: float
-    absolute_fallback: bool = False
-
-
 @dataclass
 class ScanReport:
     """Fast-scan output plus optional validation and comparison extras.
 
     It stores what the stages produced: ``feature_report``, ``model``,
-    the stage times in ``timing`` and the imputed ``lambda_hat``, aligned
-    with ``hours`` (hours sharing a cluster id share the value bitwise);
-    what those determine is a property.  APE statistics exist only after
-    validation; ``full_trace`` and ``speedup`` only after a comparison
-    run.  ``full_trace`` is the exhaustive scan's :class:`StabilityTrace`,
-    run or reused, and ``lambda_full`` its indices (NaN where the oracle
-    failed).  ``validation_excluded`` lists the sampled hours validation
-    left out because no value was found or the oracle failed there.
+    the stage times in ``timing``, the imputed ``lambda_hat``, aligned
+    with ``hours`` (hours sharing a cluster id share the value bitwise),
+    and validation's draw: ``validation_rows``, the sampled rows of
+    ``hours`` in ascending order, ``validation_lam``, their true values,
+    and ``validation_excluded``, the sampled hours left out because no
+    value was found or the oracle failed there.  What those determine is
+    a property, among them each sample's ``ape`` and
+    ``absolute_fallback``, and ``mape``, ``max_ape`` and ``histogram``
+    (``None``, ``None`` and ``()`` before validation).  ``full_trace``
+    and ``speedup`` exist only after a comparison run.  ``full_trace`` is
+    the exhaustive scan's :class:`StabilityTrace`, run or reused, and
+    ``lambda_full`` its indices (NaN where the oracle failed).
     """
 
     hours: np.ndarray
@@ -82,10 +77,8 @@ class ScanReport:
     feature_report: FeatureReport
     model: ClusterModel
     timing: dict[str, float] = field(default_factory=dict)
-    validation: tuple[ValidationSample, ...] = ()
-    mape: float | None = None
-    max_ape: float | None = None
-    histogram: tuple[tuple[float, float, int], ...] = ()
+    validation_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    validation_lam: np.ndarray = field(default_factory=lambda: np.empty(0))
     validation_excluded: tuple[int, ...] = ()
     full_trace: StabilityTrace | None = None
 
@@ -132,6 +125,41 @@ class ScanReport:
         return None if self.full_trace is None else self.full_trace.lam
 
     @property
+    def absolute_fallback(self) -> np.ndarray:
+        """Per validation sample: |lam| is below ``NEAR_ZERO_LAMBDA``, so its
+        APE is the absolute error."""
+        return np.abs(self.validation_lam) < NEAR_ZERO_LAMBDA
+
+    @property
+    def ape(self) -> np.ndarray:
+        """Per validation sample: |lam - lam_hat| / |lam|, or the absolute
+        error where ``absolute_fallback``."""
+        err = np.abs(self.validation_lam - self.lambda_hat[self.validation_rows])
+        return np.divide(err, np.abs(self.validation_lam), out=err,
+                         where=~self.absolute_fallback)
+
+    @property
+    def mape(self) -> float | None:
+        return float(self.ape.mean()) if len(self.validation_rows) else None
+
+    @property
+    def max_ape(self) -> float | None:
+        return float(self.ape.max()) if len(self.validation_rows) else None
+
+    @property
+    def histogram(self) -> tuple[tuple[float, float, int], ...]:
+        """The APEs counted in 1-percentage-point bins, as (low, high, count)."""
+        if not len(self.validation_rows):
+            return ()
+        pct = self.ape * 100.0
+        top = max(1, int(np.ceil(pct.max() + 1e-12)))
+        counts, edges = np.histogram(pct, bins=np.arange(0, top + 1))
+        return tuple(
+            (float(edges[i]), float(edges[i + 1]), int(counts[i]))
+            for i in range(len(counts))
+        )
+
+    @property
     def flagged(self) -> bool:
         """True when any stage failed to converge."""
         return not (self.feature_report.converged and self.model.converged)
@@ -153,13 +181,16 @@ class ScanReport:
             "training_lambdas": {str(h): v for h, v in sorted(self.training_lambdas.items())},
             "validation": [
                 {
-                    "hour": s.hour,
-                    "lambda": s.lam,
-                    "lambda_hat": s.lam_hat,
-                    "ape": s.ape,
-                    "absolute_fallback": s.absolute_fallback,
+                    "hour": hour,
+                    "lambda": lam,
+                    "lambda_hat": lam_hat,
+                    "ape": ape,
+                    "absolute_fallback": fallback,
                 }
-                for s in self.validation
+                for hour, lam, lam_hat, ape, fallback in zip(
+                    self.hours[self.validation_rows].tolist(), self.validation_lam.tolist(),
+                    self.lambda_hat[self.validation_rows].tolist(), self.ape.tolist(),
+                    self.absolute_fallback.tolist())
             ],
             "histogram": [list(b) for b in self.histogram],
             "feature_report": self.feature_report.to_dict(),
@@ -186,11 +217,12 @@ class ScanReport:
                 or not np.array_equal(payload["assignment"], model.assignment)
                 or not _clustered_with(model, freport)):
             raise ValueError("the scan was not clustered as its model")
-        samples = [ValidationSample(s["hour"], s["lambda"], s["lambda_hat"], s["ape"],
-                                    s["absolute_fallback"]) for s in payload["validation"]]
+        row = {h: i for i, h in enumerate(hours.tolist())}
+        drawn = payload["validation"]
         return cls(hours=hours, lambda_hat=lambda_hat, feature_report=freport, model=model,
-                   timing=dict(timing), validation=tuple(samples), mape=payload["mape"],
-                   max_ape=payload["max_ape"], histogram=tuple(map(tuple, payload["histogram"])),
+                   timing=dict(timing),
+                   validation_rows=np.array([row[s["hour"]] for s in drawn], dtype=np.intp),
+                   validation_lam=np.array([s["lambda"] for s in drawn], dtype=float),
                    validation_excluded=tuple(payload.get("validation_excluded", ())))
 
     def save_json(self, path) -> Path:
@@ -290,7 +322,8 @@ def _held_values(report: ScanReport, rows, trace: StabilityTrace | None = None) 
     """The oracle values the run already holds at ``rows`` of its hours:
     the trace's where finite, else feature selection's, else validation's;
     NaN where none has one."""
-    values = {s.hour: s.lam for s in report.validation} | report.training_lambdas
+    validated = report.hours[report.validation_rows].tolist()
+    values = dict(zip(validated, report.validation_lam.tolist())) | report.training_lambdas
     held = np.array([values.get(h, np.nan) for h in report.hours[rows].tolist()], dtype=float)
     if trace is None:
         return held
@@ -300,7 +333,8 @@ def _held_values(report: ScanReport, rows, trace: StabilityTrace | None = None) 
 
 def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
              known: StabilityTrace | None = None) -> ScanReport:
-    """Error statistics of the fast scan on a random hour sample.
+    """The fast scan with a validation draw: a random hour sample and the
+    true values there, from which the report derives its error statistics.
 
     The draw depends only on the report and ``seed``: hours consumed by
     feature selection are left out of it (their indices were seen by the
@@ -317,10 +351,6 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     its NaN marking a failed call.  A sampled hour still without a value
     is left out after the draw and listed in ``validation_excluded``; if
     every one is, ``ValueError``.
-
-    APE is |lam - lam_hat| / |lam|; hours with |lam| below 1e-9 fall back
-    to the absolute error and are flagged.  The histogram uses
-    1-percentage-point bins.
     """
     hours = report.hours
     if known is not None:
@@ -350,35 +380,8 @@ def validate(report: ScanReport, data, oracle, sample_size: int, seed: int = 0,
     excluded = tuple(hours[picked[failed]].tolist())
     picked, true_vals = picked[~failed], true_vals[~failed]
 
-    samples = []
-    for slot, idx in enumerate(picked):
-        lam = float(true_vals[slot])
-        lam_hat = float(report.lambda_hat[idx])
-        err = abs(lam - lam_hat)
-        if abs(lam) < NEAR_ZERO_LAMBDA:
-            samples.append(ValidationSample(int(hours[idx]), lam, lam_hat, err, True))
-        else:
-            samples.append(ValidationSample(int(hours[idx]), lam, lam_hat, err / abs(lam), False))
-
-    apes = np.array([s.ape for s in samples])
-    return replace(
-        report,
-        validation=tuple(samples),
-        mape=float(apes.mean()),
-        max_ape=float(apes.max()),
-        histogram=tuple(_percentage_histogram(apes)),
-        validation_excluded=excluded,
-    )
-
-
-def _percentage_histogram(apes: np.ndarray) -> list[tuple[float, float, int]]:
-    pct = apes * 100.0
-    top = max(1, int(np.ceil(pct.max() + 1e-12)))
-    counts, edges = np.histogram(pct, bins=np.arange(0, top + 1))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-        for i in range(len(counts))
-    ]
+    return replace(report, validation_rows=picked, validation_lam=true_vals,
+                   validation_excluded=excluded)
 
 
 @dataclass(frozen=True)

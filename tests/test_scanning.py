@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -214,7 +215,8 @@ def test_a_scan_report_rebuilds_from_its_payload_and_model(tmp_path):
     validated = gs.validate(fresh, data, oracle, 50)
     back = _stored_scan(validated, tmp_path)
     assert back.to_dict() == validated.to_dict()
-    assert back.validation == validated.validation
+    assert back.validation_rows.tobytes() == validated.validation_rows.tobytes()
+    assert back.validation_lam.tobytes() == validated.validation_lam.tobytes()
     assert back.histogram == validated.histogram
     assert back.timing == fresh.timing
     assert back.feature_report.to_dict() == fresh.feature_report.to_dict()
@@ -234,6 +236,20 @@ def test_a_scan_report_rebuilds_from_its_payload_and_model(tmp_path):
     heavier = replace(fresh.model, weights=2 * fresh.model.weights)
     with pytest.raises(ValueError, match="not clustered as its model"):
         gs.ScanReport.from_dict(payload, heavier, fresh.timing)
+    # every hour drawn under a known trace that is zero at one unpaid hour
+    # (the absolute-error fallback) and failed at another (left out): the
+    # derived per-sample fields and statistics come back byte for byte
+    unpaid = [h for h in data.timestamps.tolist() if h not in fresh.training_lambdas]
+    truth = gs.full_scan(data, oracle)
+    lam = truth.lam.copy()
+    lam[unpaid[0]], lam[unpaid[1]] = 0.0, np.nan
+    known = gs.StabilityTrace(hours=data.timestamps, lam=lam, kind=truth.kind)
+    validated = gs.validate(fresh, data, oracle, data.n_points, known=known)
+    payload = validated.to_dict()
+    assert payload["validation_excluded"] == [unpaid[1]]
+    assert [s["hour"] for s in payload["validation"] if s["absolute_fallback"]] == [unpaid[0]]
+    text = json.dumps(payload, indent=2)
+    assert json.dumps(_stored_scan(validated, tmp_path).to_dict(), indent=2) == text
 
 
 def test_a_selection_with_no_positive_adjusted_weight_clusters_on_uniform_weights(
@@ -320,12 +336,14 @@ def test_validate_full_coverage_and_ape_consistency():
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
     report = gs.fast_scan(data, oracle, small_config())
     report = gs.validate(report, data, oracle, data.n_points, seed=2)
-    assert len(report.validation) == data.n_points
-    hours = sorted(s.hour for s in report.validation)
+    assert len(report.validation_rows) == data.n_points
+    hours = sorted(report.hours[report.validation_rows].tolist())
     assert hours == sorted(int(h) for h in report.hours)
-    for s in report.validation:
-        if not s.absolute_fallback:
-            assert abs(abs(s.lam - s.lam_hat) - s.ape * abs(s.lam)) < 1e-9
+    lam, lam_hat = report.validation_lam, report.lambda_hat[report.validation_rows]
+    relative = ~report.absolute_fallback
+    assert relative.any()
+    err = np.abs(lam - lam_hat)[relative] - report.ape[relative] * np.abs(lam[relative])
+    assert np.all(np.abs(err) < 1e-9)
 
 
 def test_validate_prefers_hours_outside_training():
@@ -336,7 +354,7 @@ def test_validate_prefers_hours_outside_training():
     assert n_free >= 40
     report = gs.validate(report, data, oracle, 40, seed=2)
     trained = set(report.training_lambdas)
-    assert all(s.hour not in trained for s in report.validation)
+    assert all(h not in trained for h in report.hours[report.validation_rows].tolist())
 
 
 def test_validate_near_zero_lambda_uses_absolute_error():
@@ -353,7 +371,7 @@ def test_validate_near_zero_lambda_uses_absolute_error():
     oracle = Zeroish()
     report = gs.fast_scan(data, oracle, small_config())
     report = gs.validate(report, data, oracle, 20, seed=3)
-    assert all(s.absolute_fallback for s in report.validation)
+    assert report.absolute_fallback.all()
     assert report.max_ape < 1e-9
 
 
@@ -392,7 +410,7 @@ def test_validate_uses_full_trace_without_oracle_calls():
         report = gs.validate(report, data, oracle, 50, seed=5)
         assert oracle.eval_count == count
         assert report.mape is not None
-        unpaid = {s.hour for s in report.validation} - set(report.training_lambdas)
+        unpaid = set(report.hours[report.validation_rows].tolist()) - set(report.training_lambdas)
         assert bool(unpaid) == (data.n_points == 400)
 
 
@@ -420,18 +438,23 @@ def test_validate_leaves_out_the_failed_sampled_hours_whatever_holds_the_values(
     fresh = gs.fast_scan(data, oracle, small_config())
     compared = gs.compare_full_vs_fast(data, oracle, small_config())
     assert set(compared.full_trace.failed_hours) == bad_hours
-    drawn = gs.validate(fresh, data, base, 500, seed=2).validation
-    left_out = {s.hour for s in drawn} & bad_hours
+    drawn = gs.validate(fresh, data, base, 500, seed=2)
+    drawn_hours = drawn.hours[drawn.validation_rows]
+    left_out = set(drawn_hours.tolist()) & bad_hours
     assert left_out
+    kept = ~np.isin(drawn_hours, list(bad_hours))
     blocks = []
     for report, known in ((fresh, None), (fresh, compared.full_trace), (compared, None)):
         count = oracle.eval_count
         checked = gs.validate(report, data, oracle, 500, seed=2, known=known)
         assert (oracle.eval_count == count) == (known is not None or report is compared)
-        assert checked.validation == tuple(s for s in drawn if s.hour not in bad_hours)
+        assert checked.validation_rows.tobytes() == drawn.validation_rows[kept].tobytes()
+        assert checked.validation_lam.tobytes() == drawn.validation_lam[kept].tobytes()
+        assert checked.ape.tobytes() == drawn.ape[kept].tobytes()
         assert checked.to_dict()["validation_excluded"] == sorted(left_out)
         assert sum(c for _, _, c in checked.histogram) == 500 - len(left_out)
-        blocks.append((checked.validation, checked.mape, checked.max_ape, checked.histogram,
+        blocks.append((checked.validation_rows.tobytes(), checked.validation_lam.tobytes(),
+                       checked.mape, checked.max_ape, checked.histogram,
                        checked.validation_excluded))
     assert blocks[0] == blocks[1] == blocks[2]
 
@@ -714,7 +737,8 @@ def test_the_trace_csv_holds_the_values_the_run_paid_for(tmp_path):
         assert [row.split(",")[2] for row in rows] == [repr(v) for v in report.lambda_hat.tolist()]
         return [row.split(",")[1] for row in rows]
 
-    held = scan.training_lambdas | {s.hour: s.lam for s in scan.validation}
+    validated = dict(zip(scan.hours[scan.validation_rows].tolist(), scan.validation_lam.tolist()))
+    held = scan.training_lambdas | validated
     assert scan.validation_excluded and "" in lambda_column(scan)
     assert lambda_column(scan) == [repr(held[h]) if h in held else "" for h in scan.hours.tolist()]
     assert "nan" in lambda_column(compared)
@@ -730,8 +754,6 @@ def test_scan_report_serialization(tmp_path):
     j = report.save_json(tmp_path / "r.json")
     t = report.save_trace_csv(tmp_path / "t.csv")
     h = report.save_histogram_csv(tmp_path / "h.csv")
-
-    import json
 
     payload = json.loads(j.read_text())
     assert payload["k_final"] == report.k_final
