@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,8 @@ class ReliefParams:
             raise ValueError("sigma must be positive")
         if not 0.0 <= self.rho_threshold <= 1.0:
             raise ValueError("rho_threshold must lie in [0, 1]")
+        if not self.epsilon_f >= 0:
+            raise ValueError("epsilon_f must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -247,18 +249,17 @@ def rrelieff_pass(
     X: np.ndarray,
     lam: np.ndarray,
     params: ReliefParams,
+    neighbors: np.ndarray,
     rng: np.random.Generator | None = None,
     sample_indices: np.ndarray | None = None,
-    neighbors: np.ndarray | None = None,
-) -> FeatureReport:
-    """One RReliefF estimation pass over a training matrix.
+) -> np.ndarray:
+    """One RReliefF estimation pass over a training matrix: the raw weights.
 
-    For each of m sampled instances, the k nearest neighbors (unweighted
-    Euclidean distance over all attributes, self excluded, in (distance,
-    index) order) contribute to three accumulators: different-prediction
-    mass, per-attribute different-attribute mass, and their joint mass.
-    The attribute weight is the joint/prediction ratio minus the
-    attribute-only/same-prediction ratio, which lies in [-1, 1].
+    For each of m sampled instances, the k nearest neighbors contribute to
+    three accumulators: different-prediction mass, per-attribute
+    different-attribute mass, and their joint mass.  The attribute weight
+    is the joint/prediction ratio minus the attribute-only/same-prediction
+    ratio, which lies in [-1, 1].
 
     Parameters
     ----------
@@ -266,58 +267,48 @@ def rrelieff_pass(
         Normalized training instances; n must exceed params.k.
     lam : ndarray, shape (n,)
         Stability index per instance.
+    neighbors : ndarray of int, shape (n, k)
+        Each row's k nearest other rows of X (unweighted Euclidean
+        distance over all attributes, self excluded) in (distance, index)
+        order, as :func:`_grow_neighbors` keeps them.  The pass reads the
+        rows of its sampled instances and writes nothing.
     rng : numpy Generator, optional
         Sampler for the instance draws.  When m >= n every instance is
         used once (a deterministic full sweep); otherwise m instances are
-        drawn without replacement.
+        drawn without replacement, and ``rng`` or ``sample_indices`` must
+        be given.
     sample_indices : ndarray, optional
         Explicit instance draws overriding the sampler (testing hook).
-    neighbors : ndarray of int, shape (n, k), optional
-        Each row's k nearest other rows of X in (distance, index) order,
-        as :func:`_nearest` gives them on ``_pairwise_dists(X, X)`` with
-        ``inf`` on its diagonal (the self mask).  Read, never written: a
-        full sweep reads it as it is, a sampled pass gathers the sampled
-        rows.  Without it the pass computes the sampled rows' distances
-        and lists itself, with the same bits.  :func:`select_features`
-        passes the lists it grows batch by batch while every pass is a
-        full sweep, and none once the training set outgrows ``m``.
 
     Raises
     ------
+    ValueError
+        When n <= k, ``neighbors`` has the wrong shape, or a sampled pass
+        has neither ``rng`` nor ``sample_indices``.
     DegeneratePredictionError
         When the prediction-difference mass is 0 (all sampled indices
         identical) or saturates at m, leaving a weight denominator empty.
     """
     X = np.asarray(X, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    n, n_attr = X.shape
+    n = len(X)
     if n <= params.k:
         raise ValueError(f"need more than k={params.k} training instances, got {n}")
-    full_sweep = sample_indices is None and params.m >= n
-    if sample_indices is None:
-        if full_sweep:
-            sample_indices = np.arange(n)
-        else:
-            if rng is None:
-                rng = np.random.default_rng()
-            sample_indices = rng.choice(n, size=params.m, replace=False)
-    else:
+    if neighbors.shape != (n, params.k):
+        raise ValueError(f"neighbors must have shape {(n, params.k)}, got {neighbors.shape}")
+    if sample_indices is not None:
         sample_indices = np.asarray(sample_indices, dtype=int)
+    elif params.m >= n:
+        sample_indices = np.arange(n)
+    elif rng is None:
+        raise ValueError(f"m={params.m} < n={n} draws a sample: give rng or sample_indices")
+    else:
+        sample_indices = rng.choice(n, size=params.m, replace=False)
     m = len(sample_indices)
+    nbr = neighbors[sample_indices]                 # (m, k)
 
     lam_min = float(lam.min())
     lam_max = float(lam.max())
-
-    # Neighbors, self masked out, in (distance, index) order.
-    if neighbors is None:
-        D = _pairwise_dists(X[sample_indices], X)
-        D[np.arange(m), sample_indices] = np.inf
-        nbr = _nearest(D, params.k)                 # (m, k)
-    elif neighbors.shape != (n, params.k):
-        raise ValueError(f"neighbors must have shape {(n, params.k)}, got {neighbors.shape}")
-    else:
-        nbr = neighbors if full_sweep else neighbors[sample_indices]
-
     d_rank = neighbor_influence(params.k, params.sigma)   # (k,)
 
     dp = prediction_diff(lam[sample_indices][:, None], lam[nbr], lam_min, lam_max)
@@ -332,31 +323,26 @@ def rrelieff_pass(
             "degenerate prediction diversity: sampled stability indices "
             "leave an empty weight denominator"
         )
-    weights = n_dca / n_dc - (n_da - n_dca) / (m - n_dc)
-    return FeatureReport(
-        names=tuple(f"a{i}" for i in range(n_attr)),
-        weights=weights,
-        adjusted_weights=weights.copy(),
-        variances=X.var(axis=0),
-        training_size=n,
-    )
+    return n_dca / n_dc - (n_da - n_dca) / (m - n_dc)
 
 
-def adjust_weights(report: FeatureReport, C: float | None = None) -> FeatureReport:
-    """Rescale weights by variance and rank: w * var / ln(2 * rank).
+def adjust_weights(weights: np.ndarray, variances: np.ndarray,
+                   C: float | None = None) -> np.ndarray:
+    """The adjusted weights: raw weights rescaled by variance and rank,
+    C * w * var / ln(2 * rank).
 
-    Natural log; rank >= 1 keeps the denominator at ln 2 or above.  When C
-    is None it is chosen as 1/max of the raw adjusted values so the
-    largest adjusted weight is 1 (falling back to C=1 when no raw value is
-    positive).  The adjusted ranks follow from the adjusted weights.
+    Natural log; rank 1 is the largest raw weight (equal weights ranked by
+    index), so the denominator is ln 2 or above.  When C is None it is
+    chosen as 1/max of the unscaled values so the largest adjusted weight
+    is 1 (falling back to C=1 when no unscaled value is positive).
     """
-    raw = report.weights * report.variances / np.log(2.0 * report.ranks)
+    raw = weights * variances / np.log(2.0 * _ordinal_ranks(weights))
     if C is None:
         top = raw.max() if raw.size else 0.0
         C = 1.0 / top if top > 0 else 1.0
     if C <= 0:
         raise ValueError("C must be positive")
-    return replace(report, adjusted_weights=C * raw)
+    return C * raw
 
 
 def _grow_neighbors(X: np.ndarray, kept: tuple[np.ndarray, np.ndarray] | None,
@@ -412,20 +398,18 @@ def select_features(
     between two near-tied top features would flip their adjusted values by
     a factor of two forever, making adjusted-weight drift unable to settle
     (the raw weights have no such feedback).  If the whole dataset is
-    consumed first, the latest report is returned with
+    consumed first, the latest pass's weights are returned with
     ``converged=False``.
 
-    While the training set has at most ``m`` points every pass is a full
-    sweep, and each training point's k nearest neighbours and their
-    distances are kept from pass to pass.  A batch of b points computes
-    only its own b distance rows, and searches those rows and, for every
-    earlier point, its kept k neighbours plus the b new columns
-    (:func:`_grow_neighbors`).  So a pass costs O(size * b) in place of
-    O(size^2) and reads the lists it would have computed, bit for bit,
-    ties at the k-th distance included.  Once the training set grows past
-    ``m`` the lists are dropped and each sampled pass computes its
-    ``m x n`` distances and its own lists, so memory never scales with
-    the square of the training set.
+    Each training point's k nearest neighbours and their distances are
+    kept from pass to pass.  A batch of b points computes only its own b
+    distance rows, and searches those rows and, for every earlier point,
+    its kept k neighbours plus the b new columns (:func:`_grow_neighbors`).
+    So keeping the lists costs O(size * b) per batch in place of
+    O(size^2), and they are the lists a search of the whole training set
+    gives, bit for bit, ties at the k-th distance included.  Every pass
+    reads them: a full sweep (at most ``m`` points) all of them, a sampled
+    pass the rows of its ``m`` draws.  Memory stays O(size * (k + b)).
 
     Each batch is one :func:`~gridscan.oracles.evaluate_many` sweep, so
     ``GRIDSCAN_THREADS`` workers serve it like every other oracle sweep.
@@ -448,16 +432,14 @@ def select_features(
     train_rows: list[int] = []
     train_lam: list[float] = []
     failed: list[int] = []
-
-    # Relief's k-nearest lists and their distances among the training rows
-    # while every pass is a full sweep (at most m rows); past m, each
-    # sampled pass computes its own.
+    # Relief's k-nearest lists and their distances among the training rows.
     kept: tuple[np.ndarray, np.ndarray] | None = None
 
-    report: FeatureReport | None = None
+    weights: np.ndarray | None = None
     prev_ranks: np.ndarray | None = None
     prev_scaled: np.ndarray | None = None
     stable = 0
+    converged = False
     cursor = 0
     while cursor < n:
         take = pick_order[cursor : cursor + params.batch]
@@ -467,35 +449,38 @@ def select_features(
         failed += hours[take[~ok]].tolist()
         train_rows += take[ok].tolist()
         train_lam += values[ok].tolist()
-        size = len(train_rows)
-        X_train = X_all[train_rows]
-        if size <= params.k:
+        if len(train_rows) <= params.k:
             continue
-        kept = _grow_neighbors(X_train, kept, params.k) if size <= params.m else None
+        X_train = X_all[train_rows]
+        kept = _grow_neighbors(X_train, kept, params.k)
+        weights = rrelieff_pass(X_train, np.array(train_lam), params, kept[0], rng=sampler)
+        variances = X_train.var(axis=0)
+        adjusted = adjust_weights(weights, variances, C)
 
-        passed = rrelieff_pass(X_train, np.array(train_lam), params, rng=sampler,
-                               neighbors=None if kept is None else kept[0])
-        passed = replace(
-            passed,
-            names=tuple(data.attribute_names()),
-            failed_hours=tuple(failed),
-        )
-        report = adjust_weights(passed, C)
-
-        top = float(np.max(np.abs(report.weights)))
-        scaled = report.weights / top if top > 0 else report.weights
+        ranks = _ordinal_ranks(adjusted)
+        top = float(np.max(np.abs(weights)))
+        scaled = weights / top if top > 0 else weights
         if prev_ranks is not None:
-            rho = _spearman(prev_ranks, report.adjusted_ranks)
+            rho = _spearman(prev_ranks, ranks)
             drift = float(np.max(np.abs(scaled - prev_scaled)))
             stable = stable + 1 if (rho >= params.rho_threshold and drift <= params.epsilon_f) else 0
             if stable >= params.window:
-                report = replace(report, converged=True)
+                converged = True
                 break
-        prev_ranks = report.adjusted_ranks
+        prev_ranks = ranks
         prev_scaled = scaled
 
-    if report is None:
+    if weights is None:
         raise TooFewPointsError(
             f"dataset too small: {len(train_rows)} usable points, need more than k={params.k}"
         )
-    return replace(report, training_lambdas=dict(zip(hours[train_rows].tolist(), train_lam)))
+    return FeatureReport(
+        names=tuple(data.attribute_names()),
+        weights=weights,
+        adjusted_weights=adjusted,
+        variances=variances,
+        training_size=len(train_rows),
+        converged=converged,
+        failed_hours=tuple(failed),
+        training_lambdas=dict(zip(hours[train_rows].tolist(), train_lam)),
+    )

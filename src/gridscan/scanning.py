@@ -33,8 +33,9 @@ class FailedCentroidError(ValueError):
 class ScanConfig:
     """Everything a scan needs besides the dataset and the oracle.
 
-    ``seed`` drives all sampling in the scan (feature-selection growth,
-    swarm initialization, validation draws).
+    ``seed`` drives the sampling of :func:`fast_scan` (feature-selection
+    growth, swarm initialization).  :func:`validate` takes its own seed;
+    the CLI validates with ``seed`` and ``sample_size``.
     """
 
     relief: ReliefParams = ReliefParams()

@@ -140,6 +140,8 @@ def test_set_override_bad_path_exits_2(tmp_path, config_path, capsys):
     ("generate", 'dataset.synthetic.seed="1"'),
     ("select", "scan.C=-1"),
     ("select", 'scan.C="abc"'),
+    # a negative drift bound lets no pass count as stable
+    ("select", "scan.relief.epsilon_f=-1"),
     ("fastscan", "scan.pso.c1=true"),
     ("fastscan", "scan.adapt.eps_d=true"),
     ("generate", "dataset.synthetic.noise_sigma=false"),

@@ -94,7 +94,7 @@ def test_pairwise_dists_row_block_matches_full_matrix(lo, hi):
 @pytest.mark.parametrize("seed", range(6))
 def test_nearest_matches_stable_argsort_with_ties(seed):
     # grid-valued points give many exactly equal distances; the inf
-    # diagonal is the self mask of rrelieff_pass
+    # diagonal is the self mask of _grow_neighbors
     rng = np.random.default_rng(seed)
     n = int(rng.integers(15, 400))
     X = rng.integers(-2, 3, (n, 3)) / 2.0

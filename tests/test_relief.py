@@ -91,41 +91,6 @@ def test_neighbor_influence_two_ranks_hand_evaluated():
 # ── single estimation pass ───────────────────────────────────────────────
 
 
-def test_pass_constant_attribute_gets_zero_weight(rng):
-    X = rng.uniform(-1, 1, size=(40, 3))
-    X[:, 1] = 0.25
-    lam = X[:, 0] + 0.1 * rng.normal(size=40)
-    rep = rrelieff_pass(X, lam, ReliefParams(m=40, k=5), rng=rng)
-    assert rep.weights[1] == 0.0
-
-
-def test_pass_micro_case_matches_hand_execution():
-    # 3 points in 1-D, one sampled instance, k=2, sigma=1; every quantity
-    # is small enough to execute the algorithm by hand
-    X = np.array([[-1.0], [0.0], [1.0]])
-    lam = np.array([0.0, 0.5, 1.0])
-    rep = rrelieff_pass(
-        X, lam, ReliefParams(m=1, k=2, sigma=1.0), sample_indices=np.array([0])
-    )
-    d1 = np.array([math.exp(-1.0), math.exp(-4.0)])
-    d = d1 / d1.sum()
-    n_dc = 0.5 * d[0] + 1.0 * d[1]
-    n_da = 0.5 * d[0] + 1.0 * d[1]
-    n_dca = 0.25 * d[0] + 1.0 * d[1]
-    expected = n_dca / n_dc - (n_da - n_dca) / (1.0 - n_dc)
-    assert abs(rep.weights[0] - expected) < 1e-12
-    assert abs(expected - 0.0452785) < 1e-6
-
-
-def test_pass_matches_reference_loop(rng):
-    X = rng.uniform(-1, 1, size=(30, 4))
-    lam = X[:, 0] - 0.5 * X[:, 2] + 0.05 * rng.normal(size=30)
-    sample = rng.integers(0, 30, size=12)
-    rep = rrelieff_pass(X, lam, ReliefParams(m=12, k=4, sigma=2.0), sample_indices=sample)
-    expected = reference_pass(X, lam, k=4, sigma=2.0, sample_indices=sample)
-    assert np.allclose(rep.weights, expected, atol=1e-12)
-
-
 def _self_masked_dists(X):
     D = _pairwise_dists(X, X)
     np.fill_diagonal(D, np.inf)
@@ -138,24 +103,86 @@ def _stable_nearest(D, k):
     return np.argsort(D, axis=1, kind="stable")[:, :k]
 
 
+def _lists(X, k):
+    """Each row's k nearest other rows of X, from a search of the whole set."""
+    return _stable_nearest(_self_masked_dists(X), k)
+
+
+def test_pass_constant_attribute_gets_zero_weight(rng):
+    X = rng.uniform(-1, 1, size=(40, 3))
+    X[:, 1] = 0.25
+    lam = X[:, 0] + 0.1 * rng.normal(size=40)
+    weights = rrelieff_pass(X, lam, ReliefParams(m=40, k=5), _lists(X, 5), rng=rng)
+    assert weights[1] == 0.0
+
+
+def test_pass_micro_case_matches_hand_execution():
+    # 3 points in 1-D, one sampled instance, k=2, sigma=1; every quantity
+    # is small enough to execute the algorithm by hand
+    X = np.array([[-1.0], [0.0], [1.0]])
+    lam = np.array([0.0, 0.5, 1.0])
+    weights = rrelieff_pass(
+        X, lam, ReliefParams(m=1, k=2, sigma=1.0), _lists(X, 2), sample_indices=np.array([0])
+    )
+    d1 = np.array([math.exp(-1.0), math.exp(-4.0)])
+    d = d1 / d1.sum()
+    n_dc = 0.5 * d[0] + 1.0 * d[1]
+    n_da = 0.5 * d[0] + 1.0 * d[1]
+    n_dca = 0.25 * d[0] + 1.0 * d[1]
+    expected = n_dca / n_dc - (n_da - n_dca) / (1.0 - n_dc)
+    assert abs(weights[0] - expected) < 1e-12
+    assert abs(expected - 0.0452785) < 1e-6
+
+
+def test_pass_matches_reference_loop(rng):
+    X = rng.uniform(-1, 1, size=(30, 4))
+    lam = X[:, 0] - 0.5 * X[:, 2] + 0.05 * rng.normal(size=30)
+    sample = rng.integers(0, 30, size=12)
+    weights = rrelieff_pass(X, lam, ReliefParams(m=12, k=4, sigma=2.0), _lists(X, 4),
+                            sample_indices=sample)
+    expected = reference_pass(X, lam, k=4, sigma=2.0, sample_indices=sample)
+    assert np.allclose(weights, expected, atol=1e-12)
+
+
 @pytest.mark.parametrize("m, explicit", [(200, False), (90, False), (40, True)])
-def test_pass_given_neighbors_matches_computing_them(rng, m, explicit):
-    # a full sweep, a sampled pass and explicit draws, each with and without
-    # the training set's neighbour lists; the given lists are read only
+def test_pass_reads_the_given_lists_at_the_drawn_rows_only(rng, m, explicit):
+    # a full sweep, a sampled pass and explicit draws: the lists are read
+    # only, and only at the drawn rows, so reversing every other row's list
+    # changes no bit; the weights are the reference loop's
     X = rng.uniform(-1, 1, size=(150, 6))
     lam = X[:, 1] + 0.3 * X[:, 4] ** 2
     params = ReliefParams(m=m, k=7)
-    neighbors = _stable_nearest(_self_masked_dists(X), params.k)
+    neighbors = _lists(X, params.k)
     neighbors.flags.writeable = False
     sample = rng.choice(150, size=m, replace=False) if explicit else None
+    if explicit:
+        drawn = sample
+    elif m >= 150:
+        drawn = np.arange(150)
+    else:
+        drawn = np.random.default_rng(3).choice(150, size=m, replace=False)
+    others = neighbors[:, ::-1].copy()
+    others[drawn] = neighbors[drawn]
     got, want = [
-        rrelieff_pass(X, lam, params, rng=np.random.default_rng(3), sample_indices=sample,
-                      neighbors=given)
-        for given in (neighbors, None)
+        rrelieff_pass(X, lam, params, given, rng=np.random.default_rng(3), sample_indices=sample)
+        for given in (neighbors, others)
     ]
-    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.tobytes() == want.tobytes()
+    assert np.allclose(got, reference_pass(X, lam, params.k, params.sigma, drawn), atol=1e-12)
     with pytest.raises(ValueError, match="neighbors must have shape"):
-        rrelieff_pass(X, lam, params, neighbors=neighbors[:100])
+        rrelieff_pass(X, lam, params, neighbors[:100])
+
+
+def test_a_sampled_pass_without_a_sampler_raises(rng):
+    # an unseeded draw would let two identical calls return different weights
+    X = rng.uniform(-1, 1, size=(40, 3))
+    lam = X[:, 0] + 0.1 * rng.normal(size=40)
+    neighbors = _lists(X, 5)
+    with pytest.raises(ValueError, match="give rng or sample_indices"):
+        rrelieff_pass(X, lam, ReliefParams(m=20, k=5), neighbors=neighbors)
+    sweeps = [rrelieff_pass(X, lam, ReliefParams(m=40, k=5), neighbors=neighbors)
+              for _ in range(2)]
+    assert sweeps[0].tobytes() == sweeps[1].tobytes()
 
 
 def _duplicated_year(n_hours, copies, seed):
@@ -190,8 +217,8 @@ def test_pass_dominant_feature_ranked_first():
         rng = np.random.default_rng(seed)
         X = rng.uniform(-1, 1, size=(300, 6))
         lam = X[:, 0] + 0.01 * rng.normal(size=300)
-        rep = rrelieff_pass(X, lam, ReliefParams(m=200, k=10), rng=rng)
-        hits += rep.ranks[0] == 1
+        weights = rrelieff_pass(X, lam, ReliefParams(m=200, k=10), _lists(X, 10), rng=rng)
+        hits += relief._ordinal_ranks(weights)[0] == 1
     assert hits >= 95
 
 
@@ -199,13 +226,13 @@ def test_pass_degenerate_prediction_raises():
     X = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
     lam = np.full(20, 1.5)
     with pytest.raises(DegeneratePredictionError):
-        rrelieff_pass(X, lam, ReliefParams(m=10, k=3), rng=np.random.default_rng(1))
+        rrelieff_pass(X, lam, ReliefParams(m=10, k=3), _lists(X, 3), rng=np.random.default_rng(1))
 
 
 def test_pass_needs_more_instances_than_k():
     X = np.zeros((5, 2))
     with pytest.raises(ValueError, match="more than k"):
-        rrelieff_pass(X, np.arange(5.0), ReliefParams(m=5, k=5))
+        rrelieff_pass(X, np.arange(5.0), ReliefParams(m=5, k=5), _lists(X, 5))
 
 
 def test_pass_weights_bounded(rng):
@@ -214,77 +241,78 @@ def test_pass_weights_bounded(rng):
         a = int(rng.integers(1, 6))
         X = rng.uniform(-1, 1, size=(n, a))
         lam = rng.uniform(-5, 5, size=n)
-        rep = rrelieff_pass(X, lam, ReliefParams(m=30, k=5), rng=rng)
-        assert np.all(rep.weights >= -1.0 - 1e-12)
-        assert np.all(rep.weights <= 1.0 + 1e-12)
+        weights = rrelieff_pass(X, lam, ReliefParams(m=30, k=5), _lists(X, 5), rng=rng)
+        assert np.all(weights >= -1.0 - 1e-12)
+        assert np.all(weights <= 1.0 + 1e-12)
 
 
 def test_pass_invariant_to_instance_order(rng):
     X = rng.uniform(-1, 1, size=(25, 3))
     lam = X[:, 1] + 0.1 * rng.normal(size=25)
     sample = np.array([3, 17, 8, 8, 21])
-    rep = rrelieff_pass(X, lam, ReliefParams(m=5, k=4), sample_indices=sample)
+    weights = rrelieff_pass(X, lam, ReliefParams(m=5, k=4), _lists(X, 4), sample_indices=sample)
 
     perm = rng.permutation(25)
     inv = np.empty(25, dtype=int)
     inv[perm] = np.arange(25)
-    rep_p = rrelieff_pass(
-        X[perm], lam[perm], ReliefParams(m=5, k=4), sample_indices=inv[sample]
+    weights_p = rrelieff_pass(
+        X[perm], lam[perm], ReliefParams(m=5, k=4), _lists(X[perm], 4), sample_indices=inv[sample]
     )
-    assert np.allclose(rep.weights, rep_p.weights, atol=1e-12)
+    assert np.allclose(weights, weights_p, atol=1e-12)
 
 
 def test_pass_duplicate_column_equal_weights(rng):
     X = rng.uniform(-1, 1, size=(40, 3))
     X = np.column_stack([X, X[:, 0]])
     lam = X[:, 0] - X[:, 2] + 0.05 * rng.normal(size=40)
-    rep = rrelieff_pass(X, lam, ReliefParams(m=30, k=6), rng=rng)
-    assert abs(rep.weights[0] - rep.weights[3]) < 1e-12
+    weights = rrelieff_pass(X, lam, ReliefParams(m=30, k=6), _lists(X, 6), rng=rng)
+    assert abs(weights[0] - weights[3]) < 1e-12
 
 
 # ── weight adjustment ────────────────────────────────────────────────────
 
 
-def _report(weights, variances):
+def _adjusted(weights, variances, C=None):
+    """A report of the weights and their adjustment."""
     weights = np.asarray(weights, dtype=float)
+    variances = np.asarray(variances, dtype=float)
     return gs.FeatureReport(
         names=tuple(f"a{i}" for i in range(len(weights))),
         weights=weights,
-        adjusted_weights=weights.copy(),
-        variances=np.asarray(variances, dtype=float),
+        adjusted_weights=adjust_weights(weights, variances, C),
+        variances=variances,
     )
 
 
 def test_adjust_direct_evaluation():
-    rep = _report([0.5, 0.1], [1.0, 1.0])
-    adj = adjust_weights(rep, C=1.0)
+    adj = _adjusted([0.5, 0.1], [1.0, 1.0], C=1.0)
     assert abs(adj.adjusted_weights[0] - 0.5 / math.log(2)) < 1e-12
     assert abs(adj.adjusted_weights[0] - 0.7213475) < 1e-6
 
 
 def test_adjust_zero_variance_gives_zero():
-    adj = adjust_weights(_report([0.5, 0.2], [0.0, 1.0]), C=1.0)
+    adj = _adjusted([0.5, 0.2], [0.0, 1.0], C=1.0)
     assert adj.adjusted_weights[0] == 0.0
 
 
 def test_adjust_preserves_sign_and_zero():
-    adj = adjust_weights(_report([0.4, -0.3, 0.0, 0.1], [1.0, 1.0, 1.0, 1.0]), C=2.0)
+    adj = _adjusted([0.4, -0.3, 0.0, 0.1], [1.0, 1.0, 1.0, 1.0], C=2.0)
     assert adj.adjusted_weights[0] > 0
     assert adj.adjusted_weights[1] < 0
     assert adj.adjusted_weights[2] == 0.0
 
 
 def test_adjust_rank_order_invariant_to_positive_scale():
-    rep = _report([0.5, 0.3, 0.1, -0.2], [1.0, 0.5, 2.0, 1.0])
     orders = [
-        np.argsort(adjust_weights(rep, C=c).adjusted_weights).tolist()
+        np.argsort(_adjusted([0.5, 0.3, 0.1, -0.2], [1.0, 0.5, 2.0, 1.0], C=c)
+                   .adjusted_weights).tolist()
         for c in (0.1, 1.0, 57.0)
     ]
     assert orders[0] == orders[1] == orders[2]
 
 
 def test_adjust_default_c_normalizes_top_weight():
-    adj = adjust_weights(_report([0.5, 0.3, 0.1], [1.0, 1.0, 1.0]))
+    adj = _adjusted([0.5, 0.3, 0.1], [1.0, 1.0, 1.0])
     assert abs(adj.adjusted_weights.max() - 1.0) < 1e-12
 
 
@@ -294,7 +322,7 @@ def test_adjust_can_reorder_features():
     # between initial and adjusted ranks
     weights = np.array([0.106, 0.098, 0.062, 0.054, 0.048, 0.047, 0.045, 0.041])
     variances = np.array([1.0, 0.6, 0.5, 0.4, 0.1, 0.1, 0.1, 0.65])
-    rep = adjust_weights(_report(weights, variances))
+    rep = _adjusted(weights, variances)
     assert rep.ranks[7] == 8
     assert rep.adjusted_ranks[7] == 5
 
@@ -456,24 +484,29 @@ def test_report_serialization(tmp_path, year, year_oracle):
 
 
 def _select_twice(monkeypatch, data, oracle, params=ReliefParams()):
-    """select_features as it runs, and with every pass computing its own
-    distances and neighbour lists; whether each kept pass was given lists
-    is recorded, and every given list is checked against a search of the
-    whole training set."""
-    original = relief.rrelieff_pass
-    given = []
+    """select_features as it runs, and with every pass given lists from a
+    search of the whole training set; the lists each pass of the first run
+    reads are checked against that search.  Returns the first run's report,
+    the training sizes of its passes that read the lists ``_grow_neighbors``
+    kept, and the training sizes of all its passes."""
+    original, grow = relief.rrelieff_pass, relief._grow_neighbors
+    kept, passes = [], []
 
-    def recording(X, lam, params, neighbors=None, **kwargs):
-        given.append(neighbors is not None)
-        if neighbors is not None:
-            assert np.array_equal(neighbors, _stable_nearest(_self_masked_dists(X), params.k))
-        return original(X, lam, params, neighbors=neighbors, **kwargs)
+    def growing(*args):
+        kept.append(grow(*args))
+        return kept[-1]
 
-    def recomputing(*args, neighbors=None, **kwargs):
-        return original(*args, **kwargs)
+    def recording(X, lam, params, neighbors, **kwargs):
+        passes.append((len(X), neighbors is kept[-1][0]))
+        assert np.array_equal(neighbors, _lists(X, params.k))
+        return original(X, lam, params, neighbors, **kwargs)
 
+    def searching(X, lam, params, neighbors, **kwargs):
+        return original(X, lam, params, _lists(X, params.k), **kwargs)
+
+    monkeypatch.setattr(relief, "_grow_neighbors", growing)
     runs = []
-    for stand_in in (recording, recomputing):
+    for stand_in in (recording, searching):
         monkeypatch.setattr(relief, "rrelieff_pass", stand_in)
         runs.append(gs.select_features(data, oracle, params, seed=0))
     cached, reference = runs
@@ -484,21 +517,21 @@ def _select_twice(monkeypatch, data, oracle, params=ReliefParams()):
         else:
             assert got == want, field.name
     assert list(cached.training_lambdas.items()) == list(reference.training_lambdas.items())
-    return cached, given
+    return cached, [size for size, read_kept in passes if read_kept], [size for size, _ in passes]
 
 
 def test_select_with_kept_distances_matches_recomputing_on_a_full_sweep(year, year_oracle,
                                                                         monkeypatch):
-    rep, given = _select_twice(monkeypatch, year, year_oracle)
+    rep, given, sizes = _select_twice(monkeypatch, year, year_oracle)
     assert rep.converged and rep.training_size <= ReliefParams().m
-    assert all(given)
+    assert given == sizes
 
 
 def test_select_with_kept_distances_matches_recomputing_past_m(year, year_oracle, monkeypatch):
-    rep, given = _select_twice(monkeypatch, year, year_oracle, ReliefParams(m=100))
+    rep, given, sizes = _select_twice(monkeypatch, year, year_oracle, ReliefParams(m=100))
     assert rep.training_size > 100
-    # full sweeps read the kept distances; sampled passes past m compute their own
-    assert given[0] and not any(given[1:])
+    # full sweeps and the sampled passes past m all read the kept lists
+    assert given == sizes and given[0] <= 100 < given[-1]
 
 
 def test_select_with_kept_distances_matches_recomputing_with_failed_hours(monkeypatch):
@@ -510,17 +543,17 @@ def test_select_with_kept_distances_matches_recomputing_with_failed_hours(monkey
         def _evaluate(self, point):
             return math.nan if point.tobytes() in bad_points else base._evaluate(point)
 
-    rep, given = _select_twice(monkeypatch, data, NanReturning())
-    assert rep.failed_hours and all(given)
+    rep, given, sizes = _select_twice(monkeypatch, data, NanReturning())
+    assert rep.failed_hours and given == sizes
 
 
 def test_select_with_kept_distances_matches_recomputing_without_convergence(monkeypatch):
     data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=400, n_attributes=6, seed=2))
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=5)
     params = ReliefParams(rho_threshold=1.0, epsilon_f=0.0)
-    rep, given = _select_twice(monkeypatch, data, oracle, params)
+    rep, given, sizes = _select_twice(monkeypatch, data, oracle, params)
     assert not rep.converged and rep.training_size == data.n_points
-    assert all(given)
+    assert given == sizes
 
 
 @pytest.mark.parametrize("params", [ReliefParams(rho_threshold=1.0, epsilon_f=0.0),
@@ -534,10 +567,11 @@ def test_select_with_kept_neighbors_matches_recomputing_with_duplicated_hours(mo
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=7)
     D = _self_masked_dists(data.values)
     assert (np.sort(D, axis=1)[:, params.k - 1] == np.sort(D, axis=1)[:, params.k]).any()
-    rep, given = _select_twice(monkeypatch, data, oracle, params)
+    rep, given, sizes = _select_twice(monkeypatch, data, oracle, params)
     assert rep.training_size == data.n_points
-    sizes = [min(params.batch * (i + 1), data.n_points) for i in range(len(given))]
-    assert given == [size <= params.m for size in sizes]
+    # every pass, past m included, reads the kept lists
+    assert given == sizes == [min(params.batch * (i + 1), data.n_points)
+                              for i in range(len(sizes))]
 
 
 def test_select_with_kept_neighbors_matches_recomputing_with_duplicated_and_failed_hours(
@@ -550,15 +584,16 @@ def test_select_with_kept_neighbors_matches_recomputing_with_duplicated_and_fail
         def _evaluate(self, point):
             return math.nan if point.tobytes() in bad_points else base._evaluate(point)
 
-    rep, given = _select_twice(monkeypatch, data, NanReturning(),
-                               ReliefParams(rho_threshold=1.0, epsilon_f=0.0))
-    assert rep.failed_hours and all(given)
+    rep, given, sizes = _select_twice(monkeypatch, data, NanReturning(),
+                                      ReliefParams(rho_threshold=1.0, epsilon_f=0.0))
+    assert rep.failed_hours and given == sizes
 
 
 def test_select_memory_stays_at_the_scale_of_m_times_n():
     # a selection that never converges consumes all 3000 points; the kept
-    # neighbour lists stop at m rows, so the peak is a few m x n passes, far
-    # below one n x n matrix (72 MB)
+    # neighbour lists hold k entries per training row, and a batch computes
+    # only its own rows' distances, so the peak stays below a few m x n
+    # matrices, far below one n x n matrix (72 MB)
     n, m = 3000, 200
     data = gs.generate_synthetic_year(gs.SyntheticYearConfig(n_hours=n, seed=6))
     oracle = gs.DampingSurrogate.from_seed(data.metadata["informative_indices"], seed=8)
